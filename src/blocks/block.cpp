@@ -120,4 +120,28 @@ size_t emptySlotOrdinal(const Ring& ring, const Input* slot) {
   throw BlockError("empty slot is not part of the ring body");
 }
 
+std::vector<std::string> ringFormals(const Block& reify) {
+  std::vector<std::string> formals;
+  for (size_t i = 1; i < reify.arity(); ++i) {
+    formals.push_back(reify.input(i).literalValue().asText());
+  }
+  return formals;
+}
+
+RingPtr reifyReporter(const Block& reify, EnvPtr captured) {
+  BlockPtr expression;
+  if (reify.arity() == 0 || reify.input(0).isEmpty()) {
+    static const BlockPtr identityTemplate =
+        Block::make("reportIdentity", {Input::empty()});
+    expression = identityTemplate;
+  } else if (reify.input(0).isLiteral()) {
+    expression =
+        Block::make("reportIdentity", {Input(reify.input(0).literalValue())});
+  } else {
+    expression = reify.input(0).block();
+  }
+  return Ring::reporter(std::move(expression), ringFormals(reify),
+                        std::move(captured));
+}
+
 }  // namespace psnap::blocks

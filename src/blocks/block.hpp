@@ -143,4 +143,12 @@ size_t countEmptySlots(const Ring& ring);
 /// of the ring body.
 size_t emptySlotOrdinal(const Ring& ring, const Input* slot);
 
+/// The formal parameter names of a ring block: its inputs past the body.
+std::vector<std::string> ringFormals(const Block& reify);
+
+/// The ring a `reifyReporter` block evaluates to, closing over `captured`.
+/// An empty body is the identity function and a literal body a constant
+/// function.
+RingPtr reifyReporter(const Block& reify, EnvPtr captured = nullptr);
+
 }  // namespace psnap::blocks

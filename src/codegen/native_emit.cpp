@@ -54,8 +54,8 @@ std::string hexDouble(double v) {
   return buf;
 }
 
-// The double closest to pi, spelled so the emitted trig matches
-// pure_eval's `x * kPi / 180.0` bit for bit.
+// The double closest to pi, spelled so the emitted trig matches the pure
+// reporter table's `x * kPi / 180.0` bit for bit.
 constexpr const char* kPiHex = "0x1.921fb54442d18p+1";
 
 /// One scalar C expression plus its kind (the emitter's two-type world:
@@ -83,7 +83,7 @@ class KernelEmitter {
  private:
   Emitted scalar(const Block& block);
   Emitted scalarInput(const Input& input);
-  /// Render a scalar operand coerced to double (pure_eval's asNumber:
+  /// Render a scalar operand coerced to double (the reporters' asNumber:
   /// booleans coerce to 1/0, numbers pass through).
   std::string num(const Input& input);
   /// Render an operand that must already be a predicate (asBoolean throws
@@ -136,7 +136,7 @@ RingPtr KernelEmitter::innerRingOf(const Input& input) const {
   }
   if (input.kind() == InputKind::BlockExpr &&
       input.block()->is(Op::reifyReporter)) {
-    // Mirror pure_eval's reifyReporter: slot 0 is the body, the rest are
+    // Mirror blocks::reifyReporter: slot 0 is the body, the rest are
     // formal names.
     const Block& reify = *input.block();
     if (reify.arity() == 0 || !reify.input(0).isBlock()) {

@@ -5,8 +5,9 @@
 // produces the *internal* translation unit the JIT tier compiles with
 // `cc -O2 -shared -fPIC` and dlopens back into the process. The contract
 // is much stricter than the template path: the emitted C must compute
-// bit-identical doubles to core/pure_eval.cpp for every input the tier
-// marshals (see the byte-identical validation gate in native/tier.hpp), so
+// bit-identical doubles to the shared pure reporters (vm/pure_reporters.cpp,
+// as core/pure_eval.cpp runs them) for every input the tier marshals (see
+// the byte-identical validation gate in native/tier.hpp), so
 //
 //   * only a whitelisted subset of the pure-block palette is emitted —
 //     anything else throws CodegenError and the ring stays interpreted;

@@ -1,11 +1,10 @@
 #include "core/pure_eval.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/tiering.hpp"
 #include "support/error.hpp"
-#include "support/strings.hpp"
+#include "vm/pure_reporters.hpp"
 
 namespace psnap::core {
 
@@ -23,8 +22,6 @@ using blocks::RingPtr;
 using blocks::Value;
 
 namespace {
-
-constexpr double kPi = 3.14159265358979323846;
 
 /// One pure call frame: the ring being applied and its arguments. Frames
 /// nest when a ring body calls another ring (combine, map, evaluate), so
@@ -106,22 +103,11 @@ Value callPureRing(const RingPtr& ring, std::vector<Value> args,
   return evalPure(*ring->expression(), frame);
 }
 
-bool lessThanValues(const Value& a, const Value& b) {
-  double an, bn;
-  if (a.numericValue(an) && b.numericValue(bn)) return an < bn;
-  std::string leftOwned, rightOwned;
-  const std::string_view left =
-      a.isText() ? a.textView() : std::string_view(leftOwned = a.display());
-  const std::string_view right =
-      b.isText() ? b.textView() : std::string_view(rightOwned = b.display());
-  return psnap::strings::compareIgnoreCase(left, right) < 0;
-}
-
 Value evalPure(const Block& block, const PureFrame& frame) {
-  // Dispatch on the block's cached interned id: the two switches below
-  // compile to dense jump tables, replacing the pre-refactor chain of
-  // string comparisons. Ids past Op::BuiltinCount (custom blocks) fall to
-  // the default case and raise PurityError, as the string chain did.
+  // Dispatch on the block's cached interned id. Only the blocks that need
+  // the frame are cases here; every other pure reporter is a row of the
+  // table it shares with the interpreter (vm/pure_reporters.hpp). Ids with
+  // no row (impure and custom blocks) raise PurityError.
   const Op op = static_cast<Op>(block.opcodeId());
 
   // Variable access and ring construction need the frame, so handle them
@@ -129,27 +115,11 @@ Value evalPure(const Block& block, const PureFrame& frame) {
   switch (op) {
     case Op::reportGetVar:
       return lookupVariable(block.input(0).literalValue().asText(), frame);
-    case Op::reifyReporter: {
-      BlockPtr expression;
-      if (block.arity() == 0 || block.input(0).isEmpty()) {
-        static const BlockPtr identityTemplate =
-            Block::make("reportIdentity", {Input::empty()});
-        expression = identityTemplate;
-      } else if (block.input(0).isLiteral()) {
-        expression = Block::make("reportIdentity",
-                                 {Input(block.input(0).literalValue())});
-      } else {
-        expression = block.input(0).block();
-      }
-      std::vector<std::string> formals;
-      for (size_t i = 1; i < block.arity(); ++i) {
-        formals.push_back(block.input(i).literalValue().asText());
-      }
+    case Op::reifyReporter:
       // The returned ring carries no captured environment; name resolution
       // happens through the PureFrame chain when it is called immediately
       // (combine/map/evaluate). Escaping rings lose their defining frame.
-      return Value(Ring::reporter(expression, std::move(formals)));
-    }
+      return Value(blocks::reifyReporter(block));
     default:
       break;
   }
@@ -170,176 +140,6 @@ Value evalPure(const Block& block, const PureFrame& frame) {
   for (size_t i = 0; i < n; ++i) in[i] = evalInput(block.input(i), frame);
 
   switch (op) {
-    // --- arithmetic ---------------------------------------------------------
-    case Op::reportSum:
-      return Value(in[0].asNumber() + in[1].asNumber());
-    case Op::reportDifference:
-      return Value(in[0].asNumber() - in[1].asNumber());
-    case Op::reportProduct:
-      return Value(in[0].asNumber() * in[1].asNumber());
-    case Op::reportQuotient: {
-      double d = in[1].asNumber();
-      if (d == 0) throw Error("division by zero");
-      return Value(in[0].asNumber() / d);
-    }
-    case Op::reportModulus: {
-      double d = in[1].asNumber();
-      if (d == 0) throw Error("modulus by zero");
-      double r = std::fmod(in[0].asNumber(), d);
-      if (r != 0 && ((r < 0) != (d < 0))) r += d;
-      return Value(r);
-    }
-    case Op::reportPower:
-      return Value(std::pow(in[0].asNumber(), in[1].asNumber()));
-    case Op::reportRound:
-      return Value(std::round(in[0].asNumber()));
-    case Op::reportMonadic: {
-      const std::string fn = psnap::strings::toLower(in[0].asText());
-      const double x = in[1].asNumber();
-      if (fn == "sqrt") {
-        if (x < 0) throw Error("sqrt of a negative number");
-        return Value(std::sqrt(x));
-      }
-      if (fn == "abs") return Value(std::fabs(x));
-      if (fn == "floor") return Value(std::floor(x));
-      if (fn == "ceiling") return Value(std::ceil(x));
-      if (fn == "sin") return Value(std::sin(x * kPi / 180.0));
-      if (fn == "cos") return Value(std::cos(x * kPi / 180.0));
-      if (fn == "tan") return Value(std::tan(x * kPi / 180.0));
-      if (fn == "asin") return Value(std::asin(x) * 180.0 / kPi);
-      if (fn == "acos") return Value(std::acos(x) * 180.0 / kPi);
-      if (fn == "atan") return Value(std::atan(x) * 180.0 / kPi);
-      if (fn == "ln") {
-        if (x <= 0) throw Error("ln of a non-positive number");
-        return Value(std::log(x));
-      }
-      if (fn == "log") {
-        if (x <= 0) throw Error("log of a non-positive number");
-        return Value(std::log10(x));
-      }
-      if (fn == "e^") return Value(std::exp(x));
-      if (fn == "10^") return Value(std::pow(10.0, x));
-      throw Error("unknown monadic function \"" + fn + "\" in worker code");
-    }
-
-    // --- comparison / logic -------------------------------------------------
-    case Op::reportEquals:
-      return Value(in[0].equals(in[1]));
-    case Op::reportLessThan:
-      return Value(lessThanValues(in[0], in[1]));
-    case Op::reportGreaterThan:
-      return Value(lessThanValues(in[1], in[0]));
-    case Op::reportAnd:
-      return Value(in[0].asBoolean() && in[1].asBoolean());
-    case Op::reportOr:
-      return Value(in[0].asBoolean() || in[1].asBoolean());
-    case Op::reportNot:
-      return Value(!in[0].asBoolean());
-    case Op::reportIfElse:
-      return in[0].asBoolean() ? in[1] : in[2];
-    case Op::reportIsA: {
-      const std::string type = psnap::strings::toLower(in[1].asText());
-      const char* actual = blocks::valueKindName(in[0].kind());
-      return Value(type == actual ||
-                   (type == "nothing" && in[0].isNothing()));
-    }
-    case Op::reportIdentity:
-      return in[0];
-
-    // --- text ---------------------------------------------------------------
-    case Op::reportJoinWords: {
-      std::string out;
-      for (size_t i = 0; i < n; ++i) out += in[i].asText();
-      return Value(out);
-    }
-    case Op::reportLetter: {
-      const std::string text = in[1].asText();
-      long long index = in[0].asInteger();
-      if (index < 1 || static_cast<size_t>(index) > text.size()) {
-        return Value(std::string());
-      }
-      return Value(std::string(1, text[static_cast<size_t>(index - 1)]));
-    }
-    case Op::reportStringSize:
-      return Value(in[0].asText().size());
-    case Op::reportUnicode: {
-      const std::string text = in[0].asText();
-      if (text.empty()) throw Error("unicode of empty text");
-      return Value(static_cast<double>(static_cast<unsigned char>(text[0])));
-    }
-    case Op::reportUnicodeAsLetter:
-      return Value(
-          std::string(1, static_cast<char>(in[0].asInteger() & 0xff)));
-    case Op::reportSplit: {
-      const std::string text = in[0].asText();
-      const std::string sep = in[1].asText();
-      auto out = List::make();
-      std::vector<std::string> parts;
-      if (sep == "whitespace" || sep == "word" || sep.empty()) {
-        parts = psnap::strings::splitWhitespace(text);
-      } else if (sep == "letter") {
-        for (char ch : text) parts.emplace_back(1, ch);
-      } else if (sep == "line") {
-        parts = psnap::strings::split(text, '\n');
-      } else if (sep.size() == 1) {
-        parts = psnap::strings::split(text, sep[0]);
-      } else {
-        throw Error("multi-character split is unsupported in worker code");
-      }
-      for (std::string& part : parts) out->add(Value(std::move(part)));
-      return Value(out);
-    }
-
-    // --- lists --------------------------------------------------------------
-    case Op::reportNewList: {
-      auto list = List::make();
-      for (size_t i = 0; i < n; ++i) list->add(in[i]);
-      return Value(list);
-    }
-    case Op::reportListItem:
-      return in[1].asList()->item(static_cast<size_t>(in[0].asInteger()));
-    case Op::reportListLength:
-      return Value(in[0].asList()->length());
-    case Op::reportListContainsItem:
-      return Value(in[0].asList()->contains(in[1]));
-    case Op::reportListIndex: {
-      const ListPtr& list = in[1].asList();
-      for (size_t i = 1; i <= list->length(); ++i) {
-        if (list->item(i).equals(in[0])) return Value(i);
-      }
-      return Value(0);
-    }
-    case Op::reportCONS: {
-      auto out = List::make();
-      out->add(in[0]);
-      for (const Value& v : in[1].asList()->items()) out->add(v);
-      return Value(out);
-    }
-    case Op::reportCDR: {
-      const ListPtr& list = in[0].asList();
-      if (list->empty()) throw Error("all but first of empty list");
-      auto out = List::make();
-      for (size_t i = 2; i <= list->length(); ++i) out->add(list->item(i));
-      return Value(out);
-    }
-    case Op::reportNumbers: {
-      long long lo = in[0].asInteger();
-      long long hi = in[1].asInteger();
-      auto out = List::make();
-      if (lo <= hi) {
-        for (long long v = lo; v <= hi; ++v) out->add(Value(v));
-      } else {
-        for (long long v = lo; v >= hi; --v) out->add(Value(v));
-      }
-      return Value(out);
-    }
-    case Op::reportSorted: {
-      auto out = List::make(in[0].asList()->items());
-      auto& items = out->mutableItems();
-      std::stable_sort(items.begin(), items.end(), lessThanValues);
-      return Value(out);
-    }
-
     // --- higher-order functions ---------------------------------------------
     case Op::reportMap: {
       const RingPtr& fn = in[0].asRing();
@@ -373,9 +173,14 @@ Value evalPure(const Block& block, const PureFrame& frame) {
       return callPureRing(fn, std::move(args), frame);
     }
 
-    default:
-      throw PurityError("block " + block.opcode() +
-                        " cannot run inside a worker");
+    default: {
+      const vm::PureReporter reporter = vm::findPureReporter(block.opcodeId());
+      if (!reporter) {
+        throw PurityError("block " + block.opcode() +
+                          " cannot run inside a worker");
+      }
+      return reporter(in, n);
+    }
   }
 }
 

@@ -28,7 +28,7 @@ void forEachTemperature(const ClimateConfig& config, Visit&& visit) {
     // Station baseline: 35–70 °F annual mean, 10–30 °F seasonal swing.
     const double baseline = rng.uniform(35.0, 70.0);
     const double swing = rng.uniform(10.0, 30.0);
-    char id[16];
+    char id[24];  // "USW" + up to 20 digits of a size_t + NUL
     std::snprintf(id, sizeof(id), "USW%05zu", s + 1);
     for (int year = config.firstYear; year <= config.lastYear; ++year) {
       const double drift = config.warmingPerDecadeF *

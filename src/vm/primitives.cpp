@@ -1,11 +1,12 @@
 // Handlers for the standard block palette.
 //
-// Strict reporters receive their evaluated inputs in ctx.inputs. Control
-// blocks are non-strict: they evaluate their own value inputs via
-// Process::evalInput and push their C-slot scripts as child frames,
-// yielding once per loop iteration exactly as Snap!'s scheduler does (this
-// per-iteration yield is what makes the concession-stand timestep counts
-// of paper Fig. 9/10 deterministic).
+// Strict reporters receive their evaluated inputs in ctx.inputs; the pure
+// ones are the shared rows of vm/pure_reporters.hpp. Control blocks are
+// non-strict: they evaluate their own value inputs via Process::evalInput
+// and push their C-slot scripts as child frames, yielding once per loop
+// iteration exactly as Snap!'s scheduler does (this per-iteration yield is
+// what makes the concession-stand timestep counts of paper Fig. 9/10
+// deterministic).
 
 #include <algorithm>
 #include <cmath>
@@ -14,30 +15,20 @@
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "vm/process.hpp"
+#include "vm/pure_reporters.hpp"
 
 namespace psnap::vm {
 
-using blocks::Block;
-using blocks::InputKind;
 using blocks::List;
 using blocks::ListPtr;
 using blocks::Ring;
-using blocks::RingPtr;
 using blocks::Value;
 
 namespace {
 
-constexpr double kPi = 3.14159265358979323846;
-
 // ---------------------------------------------------------------------------
 // registration helpers
 // ---------------------------------------------------------------------------
-
-/// Wrap a plain function over evaluated inputs as a handler.
-template <typename F>
-Handler reporter(F f) {
-  return [f](Process& p, Context& c) { p.returnValue(f(c.inputs)); };
-}
 
 /// Wrap a side-effecting command over evaluated inputs.
 template <typename F>
@@ -55,82 +46,18 @@ SpriteApi& requireSprite(Process& p, const char* opcode) {
   return *p.sprite();
 }
 
-// Snap! ordering: numeric when both sides look numeric, else
-// case-insensitive text.
-bool lessThanValues(const Value& a, const Value& b) {
-  double an, bn;
-  if (a.numericValue(an) && b.numericValue(bn)) return an < bn;
-  std::string leftOwned, rightOwned;
-  const std::string_view left =
-      a.isText() ? a.textView() : std::string_view(leftOwned = a.display());
-  const std::string_view right =
-      b.isText() ? b.textView() : std::string_view(rightOwned = b.display());
-  return strings::compareIgnoreCase(left, right) < 0;
-}
-
 // ---------------------------------------------------------------------------
 // operators
 // ---------------------------------------------------------------------------
 
+// Every shared pure reporter, plus the one impure operator.
 void registerOperators(PrimitiveTable& t) {
-  t.add("reportSum", reporter([](const std::vector<Value>& in) {
-          return Value(in[0].asNumber() + in[1].asNumber());
-        }));
-  t.add("reportDifference", reporter([](const std::vector<Value>& in) {
-          return Value(in[0].asNumber() - in[1].asNumber());
-        }));
-  t.add("reportProduct", reporter([](const std::vector<Value>& in) {
-          return Value(in[0].asNumber() * in[1].asNumber());
-        }));
-  t.add("reportQuotient", reporter([](const std::vector<Value>& in) {
-          double divisor = in[1].asNumber();
-          if (divisor == 0) throw Error("division by zero");
-          return Value(in[0].asNumber() / divisor);
-        }));
-  t.add("reportModulus", reporter([](const std::vector<Value>& in) {
-          double divisor = in[1].asNumber();
-          if (divisor == 0) throw Error("modulus by zero");
-          double result = std::fmod(in[0].asNumber(), divisor);
-          // Snap! mod result has the sign of the divisor.
-          if (result != 0 && ((result < 0) != (divisor < 0))) {
-            result += divisor;
-          }
-          return Value(result);
-        }));
-  t.add("reportPower", reporter([](const std::vector<Value>& in) {
-          return Value(std::pow(in[0].asNumber(), in[1].asNumber()));
-        }));
-  t.add("reportRound", reporter([](const std::vector<Value>& in) {
-          return Value(std::round(in[0].asNumber()));
-        }));
-  t.add("reportMonadic", reporter([](const std::vector<Value>& in) {
-          const std::string fn = strings::toLower(in[0].asText());
-          const double x = in[1].asNumber();
-          if (fn == "sqrt") {
-            if (x < 0) throw Error("sqrt of a negative number");
-            return Value(std::sqrt(x));
-          }
-          if (fn == "abs") return Value(std::fabs(x));
-          if (fn == "floor") return Value(std::floor(x));
-          if (fn == "ceiling") return Value(std::ceil(x));
-          if (fn == "sin") return Value(std::sin(x * kPi / 180.0));
-          if (fn == "cos") return Value(std::cos(x * kPi / 180.0));
-          if (fn == "tan") return Value(std::tan(x * kPi / 180.0));
-          if (fn == "asin") return Value(std::asin(x) * 180.0 / kPi);
-          if (fn == "acos") return Value(std::acos(x) * 180.0 / kPi);
-          if (fn == "atan") return Value(std::atan(x) * 180.0 / kPi);
-          if (fn == "ln") {
-            if (x <= 0) throw Error("ln of a non-positive number");
-            return Value(std::log(x));
-          }
-          if (fn == "log") {
-            if (x <= 0) throw Error("log of a non-positive number");
-            return Value(std::log10(x));
-          }
-          if (fn == "e^") return Value(std::exp(x));
-          if (fn == "10^") return Value(std::pow(10.0, x));
-          throw Error("unknown monadic function \"" + fn + "\"");
-        }));
+  for (const PureRow& row : pureReporters()) {
+    t.add(blocks::opcodeName(blocks::id(row.op)),
+          [fn = row.fn](Process& p, Context& c) {
+            p.returnValue(fn(c.inputs.data(), c.inputs.size()));
+          });
+  }
   t.add("reportRandom", [](Process& p, Context& c) {
     // Deterministic per-run RNG so tests and benches are reproducible.
     static thread_local Rng rng(0x5eedULL);
@@ -144,104 +71,6 @@ void registerOperators(PrimitiveTable& t) {
       p.returnValue(Value(rng.uniform(lo, hi)));
     }
   });
-  t.add("reportEquals", reporter([](const std::vector<Value>& in) {
-          return Value(in[0].equals(in[1]));
-        }));
-  t.add("reportLessThan", reporter([](const std::vector<Value>& in) {
-          return Value(lessThanValues(in[0], in[1]));
-        }));
-  t.add("reportGreaterThan", reporter([](const std::vector<Value>& in) {
-          return Value(lessThanValues(in[1], in[0]));
-        }));
-  t.add("reportAnd", reporter([](const std::vector<Value>& in) {
-          return Value(in[0].asBoolean() && in[1].asBoolean());
-        }));
-  t.add("reportOr", reporter([](const std::vector<Value>& in) {
-          return Value(in[0].asBoolean() || in[1].asBoolean());
-        }));
-  t.add("reportNot", reporter([](const std::vector<Value>& in) {
-          return Value(!in[0].asBoolean());
-        }));
-  t.add("reportIfElse", reporter([](const std::vector<Value>& in) {
-          return in[0].asBoolean() ? in[1] : in[2];
-        }));
-  t.add("reportJoinWords", reporter([](const std::vector<Value>& in) {
-          std::string out;
-          for (const Value& v : in) out += v.asText();
-          return Value(out);
-        }));
-  t.add("reportLetter", reporter([](const std::vector<Value>& in) {
-          const std::string text = in[1].asText();
-          long long index = in[0].asInteger();
-          if (index < 1 || static_cast<size_t>(index) > text.size()) {
-            return Value(std::string());
-          }
-          return Value(std::string(1, text[static_cast<size_t>(index - 1)]));
-        }));
-  t.add("reportStringSize", reporter([](const std::vector<Value>& in) {
-          return Value(in[0].asText().size());
-        }));
-  t.add("reportUnicode", reporter([](const std::vector<Value>& in) {
-          const std::string text = in[0].asText();
-          if (text.empty()) throw Error("unicode of empty text");
-          return Value(static_cast<double>(
-              static_cast<unsigned char>(text[0])));
-        }));
-  t.add("reportUnicodeAsLetter", reporter([](const std::vector<Value>& in) {
-          return Value(std::string(
-              1, static_cast<char>(in[0].asInteger() & 0xff)));
-        }));
-  t.add("reportSplit", reporter([](const std::vector<Value>& in) {
-          const std::string text = in[0].asText();
-          const std::string sep = in[1].asText();
-          auto out = List::make();
-          std::vector<std::string> parts;
-          if (sep == "whitespace" || sep == "word") {
-            parts = strings::splitWhitespace(text);
-          } else if (sep == "letter") {
-            for (char ch : text) parts.emplace_back(1, ch);
-          } else if (sep == "line") {
-            parts = strings::split(text, '\n');
-          } else if (sep.size() == 1) {
-            parts = strings::split(text, sep[0]);
-          } else if (sep.empty()) {
-            parts = strings::splitWhitespace(text);
-          } else {
-            // Multi-character delimiter.
-            std::string rest = text;
-            size_t pos;
-            while ((pos = rest.find(sep)) != std::string::npos) {
-              parts.push_back(rest.substr(0, pos));
-              rest = rest.substr(pos + sep.size());
-            }
-            parts.push_back(rest);
-          }
-          for (std::string& part : parts) out->add(Value(std::move(part)));
-          return Value(out);
-        }));
-  t.add("reportIsA", reporter([](const std::vector<Value>& in) {
-          const std::string type = strings::toLower(in[1].asText());
-          switch (in[0].kind()) {
-            case blocks::ValueKind::Number:
-              return Value(type == "number");
-            case blocks::ValueKind::Text:
-              return Value(type == "text");
-            case blocks::ValueKind::Boolean:
-              return Value(type == "boolean");
-            case blocks::ValueKind::ListRef:
-              return Value(type == "list");
-            case blocks::ValueKind::RingRef:
-              return Value(type == "ring");
-            case blocks::ValueKind::FutureRef:
-              return Value(type == "future");
-            case blocks::ValueKind::Nothing:
-              return Value(type == "nothing");
-          }
-          return Value(false);
-        }));
-  t.add("reportIdentity", reporter([](const std::vector<Value>& in) {
-          return in[0];
-        }));
 }
 
 // ---------------------------------------------------------------------------
@@ -275,64 +104,6 @@ void registerVariables(PrimitiveTable& t) {
 // ---------------------------------------------------------------------------
 
 void registerLists(PrimitiveTable& t) {
-  t.add("reportNewList", reporter([](const std::vector<Value>& in) {
-          auto list = List::make();
-          for (const Value& v : in) list->add(v);
-          return Value(list);
-        }));
-  t.add("reportListItem", reporter([](const std::vector<Value>& in) {
-          long long index = in[0].asInteger();
-          const ListPtr& list = in[1].asList();
-          if (index < 1) {
-            throw IndexError("item " + std::to_string(index) + " of a list");
-          }
-          return list->item(static_cast<size_t>(index));
-        }));
-  t.add("reportListLength", reporter([](const std::vector<Value>& in) {
-          return Value(in[0].asList()->length());
-        }));
-  t.add("reportListContainsItem", reporter([](const std::vector<Value>& in) {
-          return Value(in[0].asList()->contains(in[1]));
-        }));
-  t.add("reportListIndex", reporter([](const std::vector<Value>& in) {
-          const ListPtr& list = in[1].asList();
-          for (size_t i = 1; i <= list->length(); ++i) {
-            if (list->item(i).equals(in[0])) return Value(i);
-          }
-          return Value(0);
-        }));
-  t.add("reportCONS", reporter([](const std::vector<Value>& in) {
-          auto out = List::make();
-          out->add(in[0]);
-          for (const Value& v : in[1].asList()->items()) out->add(v);
-          return Value(out);
-        }));
-  t.add("reportCDR", reporter([](const std::vector<Value>& in) {
-          const ListPtr& list = in[0].asList();
-          if (list->empty()) throw IndexError("all but first of empty list");
-          auto out = List::make();
-          for (size_t i = 2; i <= list->length(); ++i) {
-            out->add(list->item(i));
-          }
-          return Value(out);
-        }));
-  t.add("reportNumbers", reporter([](const std::vector<Value>& in) {
-          long long lo = in[0].asInteger();
-          long long hi = in[1].asInteger();
-          auto out = List::make();
-          if (lo <= hi) {
-            for (long long v = lo; v <= hi; ++v) out->add(Value(v));
-          } else {
-            for (long long v = lo; v >= hi; --v) out->add(Value(v));
-          }
-          return Value(out);
-        }));
-  t.add("reportSorted", reporter([](const std::vector<Value>& in) {
-          auto out = List::make(in[0].asList()->items());
-          auto& items = out->mutableItems();
-          std::stable_sort(items.begin(), items.end(), lessThanValues);
-          return Value(out);
-        }));
   t.add("doAddToList", command([](Process&, const std::vector<Value>& in) {
           in[1].asList()->add(in[0]);
         }));
@@ -357,34 +128,11 @@ void registerLists(PrimitiveTable& t) {
 // higher-order functions (sequential semantics, paper Sec. 3.1)
 // ---------------------------------------------------------------------------
 
-// Shared iteration pattern: call the ring once per element, collecting the
-// child results that land past the block's declared arity.
-void registerHofs(PrimitiveTable& t) {
-  t.add("reportMap", [](Process& p, Context& c) {
-    const size_t arity = c.block->arity();
-    if (c.phase == 0) {
-      c.phase = 1;
-      c.counter = 0;
-      c.state = std::make_shared<Value>(Value(List::make()));
-    }
-    auto result = std::static_pointer_cast<Value>(c.state);
-    if (c.inputs.size() > arity) {
-      result->asList()->add(c.inputs.back());
-      c.inputs.pop_back();
-      c.collapsedFlags.pop_back();
-    }
-    const ListPtr& list = c.inputs[1].asList();
-    if (static_cast<size_t>(c.counter) < list->length()) {
-      ++c.counter;
-      p.pushRingCall(c.inputs[0].asRing(),
-                     {list->item(static_cast<size_t>(c.counter))}, c.env);
-      return;
-    }
-    p.returnValue(*result);
-  });
-
-  t.add("reportKeep", [](Process& p, Context& c) {
-    const size_t arity = c.block->arity();
+// map and keep call the ring once per item; each call's result lands past
+// the block's declared arity. map collects the results, keep the items
+// whose result is true.
+Handler mapOrKeep(bool keep) {
+  return [keep](Process& p, Context& c) {
     if (c.phase == 0) {
       c.phase = 1;
       c.counter = 0;
@@ -392,13 +140,15 @@ void registerHofs(PrimitiveTable& t) {
     }
     auto result = std::static_pointer_cast<Value>(c.state);
     const ListPtr& list = c.inputs[1].asList();
-    if (c.inputs.size() > arity) {
-      bool keep = c.inputs.back().asBoolean();
-      c.inputs.pop_back();
-      c.collapsedFlags.pop_back();
-      if (keep) {
+    if (c.inputs.size() > c.block->arity()) {
+      const Value& called = c.inputs.back();
+      if (!keep) {
+        result->asList()->add(called);
+      } else if (called.asBoolean()) {
         result->asList()->add(list->item(static_cast<size_t>(c.counter)));
       }
+      c.inputs.pop_back();
+      c.collapsedFlags.pop_back();
     }
     if (static_cast<size_t>(c.counter) < list->length()) {
       ++c.counter;
@@ -407,7 +157,12 @@ void registerHofs(PrimitiveTable& t) {
       return;
     }
     p.returnValue(*result);
-  });
+  };
+}
+
+void registerHofs(PrimitiveTable& t) {
+  t.add("reportMap", mapOrKeep(false));
+  t.add("reportKeep", mapOrKeep(true));
 
   t.add("reportCombine", [](Process& p, Context& c) {
     const size_t arity = c.block->arity();
@@ -711,36 +466,12 @@ void registerControl(PrimitiveTable& t) {
   });
 
   t.add("reifyReporter", [](Process& p, Context& c) {
-    const Block& block = *c.block;
-    blocks::BlockPtr expression;
-    if (block.arity() == 0 || block.input(0).isEmpty()) {
-      // An empty ring is the identity function.
-      static const blocks::BlockPtr identityTemplate = blocks::Block::make(
-          "reportIdentity", {blocks::Input::empty()});
-      expression = identityTemplate;
-    } else if (block.input(0).isLiteral()) {
-      // A ring around a literal is a constant function.
-      expression = blocks::Block::make(
-          "reportIdentity", {blocks::Input(block.input(0).literalValue())});
-    } else {
-      expression = block.input(0).block();
-    }
-    std::vector<std::string> formals;
-    for (size_t i = 1; i < block.arity(); ++i) {
-      formals.push_back(block.input(i).literalValue().asText());
-    }
-    p.returnValue(
-        Value(Ring::reporter(expression, std::move(formals), c.env)));
+    p.returnValue(Value(blocks::reifyReporter(*c.block, c.env)));
   });
 
   t.add("reifyScript", [](Process& p, Context& c) {
-    const Block& block = *c.block;
-    std::vector<std::string> formals;
-    for (size_t i = 1; i < block.arity(); ++i) {
-      formals.push_back(block.input(i).literalValue().asText());
-    }
-    p.returnValue(Value(Ring::command(block.input(0).script(),
-                                      std::move(formals), c.env)));
+    p.returnValue(Value(Ring::command(c.block->input(0).script(),
+                                      blocks::ringFormals(*c.block), c.env)));
   });
 
   t.add("createClone", [](Process& p, Context& c) {

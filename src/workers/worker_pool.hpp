@@ -7,8 +7,7 @@
 //
 //   * one deque per worker, guarded by a per-worker mutex, with
 //     round-robin placement on submit and work stealing on the consume
-//     side — the single-mutex Channel is off the hot path (it survives
-//     unchanged in channel.hpp for the postMessage model and its tests);
+//     side;
 //   * parking: workers sleep on a condition variable when every deque is
 //     empty, so an idle pool burns no CPU (load-bearing on a 1-core host
 //     where the cooperative scheduler's poll loop competes for the core);

@@ -54,6 +54,16 @@ TEST_F(ParallelBlocksTest, ParallelMapMatchesSequentialMap) {
   EXPECT_TRUE(par.equals(seq));
 }
 
+// Workers evaluate text reporters with the interpreter's own
+// implementation, so a multi-character split maps the same either way.
+TEST_F(ParallelBlocksTest, ParallelMapSplitMatchesSequentialMap) {
+  auto input = listOf({"a--b", "c--d"});
+  Value par = eval(parallelMap(ring(splitText(empty(), "--")), input));
+  Value seq = eval(mapOver(ring(splitText(empty(), "--")), input));
+  EXPECT_EQ(par.display(), "[[a, b], [c, d]]");
+  EXPECT_TRUE(par.equals(seq));
+}
+
 TEST_F(ParallelBlocksTest, ParallelMapEmptyList) {
   Value v = eval(parallelMap(ring(product(empty(), 10)), listOf({})));
   EXPECT_TRUE(v.asList()->empty());

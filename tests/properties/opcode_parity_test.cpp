@@ -1,7 +1,8 @@
 // Opcode parity: for every pure opcode in the palette, a sample
 // expression is evaluated by the interpreter AND by the worker-side pure
 // evaluator (compileRing) — the two execution engines must agree, since
-// parallelMap's correctness rests on that agreement.
+// parallelMap's correctness rests on that agreement. Edge samples extend
+// the agreement to failing inputs: the same error class and message.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +14,11 @@
 #include "core/parallel_blocks.hpp"
 #include "core/pure_eval.hpp"
 #include "sched/thread_manager.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "tests/properties/generators.hpp"
 #include "vm/process.hpp"
+#include "vm/pure_reporters.hpp"
 
 namespace psnap::core {
 namespace {
@@ -123,6 +126,94 @@ TEST(OpcodeParityTable, CoversOnlyRegisteredPureOpcodes) {
 }
 
 // ---------------------------------------------------------------------------
+// Error-path parity: on failing and edge inputs both engines give the same
+// value, or raise the same error class with the same message.
+// ---------------------------------------------------------------------------
+
+std::vector<Sample> edgeSamples() {
+  return {
+      {"reportCDR", blk("reportCDR", {In(listOf({}))})},
+      {"reportSplit", splitText("a--b", "--")},
+      {"reportListItem", itemOf(0, listOf({1, 2}))},
+      {"reportListItem", itemOf(-1, listOf({1, 2}))},
+      {"reportListItem", itemOf(5, listOf({1, 2}))},
+      {"reportMonadic", monadic("foo", empty())},
+      {"reportUnicode", blk("reportUnicode", {In("")})},
+      {"reportQuotient", quotient(empty(), 0)},
+      {"reportModulus", modulus(empty(), 0)},
+      {"reportMonadic", monadic("sqrt", difference(0, empty()))},
+      {"reportMonadic", monadic("ln", difference(0, empty()))},
+      {"reportMonadic", monadic("log", difference(0, empty()))},
+  };
+}
+
+/// What one engine made of a sample: a value, or an error's class and
+/// message.
+struct Outcome {
+  Value value;
+  ErrorClass errorClass = ErrorClass::None;
+  std::string message;
+};
+
+Outcome viaInterpreter(const blocks::BlockPtr& expr, double x) {
+  static vm::PrimitiveTable prims = fullPrimitiveTable();
+  vm::NullHost host;
+  vm::Process p(&BlockRegistry::standard(), &prims, &host);
+  p.startExpression(callRing(ring(In(expr)), {In(x)}), Environment::make());
+  Outcome out;
+  try {
+    out.value = p.runToCompletion();
+  } catch (const Error& e) {
+    const std::string prefix = "process failed: ";
+    out.errorClass = p.errorClass();
+    out.message = e.what();
+    if (out.message.rfind(prefix, 0) == 0) out.message.erase(0, prefix.size());
+  }
+  return out;
+}
+
+Outcome viaWorker(const blocks::BlockPtr& expr, double x) {
+  static vm::PrimitiveTable prims = fullPrimitiveTable();
+  sched::ThreadManager tm(&BlockRegistry::standard(), &prims);
+  blocks::RingPtr ringValue =
+      tm.evaluate(ring(In(expr)), Environment::make()).asRing();
+  Outcome out;
+  try {
+    out.value = compileRing(ringValue)({Value(x)});
+  } catch (const Error& e) {
+    out.errorClass = classifyError(std::current_exception());
+    out.message = e.what();
+  }
+  return out;
+}
+
+class OpcodeErrorParity : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(OpcodeErrorParity, InterpreterAndPureEvaluatorAgree) {
+  Sample sample = edgeSamples()[GetParam()];
+  for (double x : {1.0, 3.0}) {
+    const Outcome interpreted = viaInterpreter(sample.expr, x);
+    const Outcome pure = viaWorker(sample.expr, x);
+    EXPECT_EQ(std::string(errorClassName(pure.errorClass)),
+              errorClassName(interpreted.errorClass))
+        << sample.opcode << " x=" << x;
+    EXPECT_EQ(pure.message, interpreted.message) << sample.opcode << " x=" << x;
+    EXPECT_TRUE(pure.value.equals(interpreted.value))
+        << sample.opcode << " x=" << x
+        << "\n  interpreter: " << interpreted.value.display()
+        << "\n  pure:        " << pure.value.display();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeInputs, OpcodeErrorParity,
+                         ::testing::Range<size_t>(0, edgeSamples().size()),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return std::string(
+                                      edgeSamples()[info.param].opcode) +
+                                  "_" + std::to_string(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
 // Dispatch-table integrity: the interned-id tables (registry, primitive
 // table) must agree with each other and with the string surface.
 // ---------------------------------------------------------------------------
@@ -163,6 +254,51 @@ TEST(DispatchTables, HandlersAndSpecsAgreeById) {
           << opcode << " gained a handler; update handlerlessOpcodes()";
     }
   }
+}
+
+// Pure specs with no row in the shared reporter table: they need their
+// engine's frame (variable lookup, ring construction, ring calls), so the
+// interpreter and the worker evaluator each implement them.
+const std::set<std::string>& engineSpecificPureOpcodes() {
+  static const std::set<std::string> kEngineSpecific = {
+      "reportGetVar", "reifyReporter", "reifyScript",
+      "reportMap",    "reportKeep",    "reportCombine",
+  };
+  return kEngineSpecific;
+}
+
+TEST(DispatchTables, PureReporterRowsAndPureSpecsAgreeById) {
+  const BlockRegistry& registry = BlockRegistry::standard();
+
+  // Every row names a registry-pure spec, once, and is found by its id.
+  std::set<blocks::OpcodeId> rowIds;
+  for (const vm::PureRow& row : vm::pureReporters()) {
+    const blocks::OpcodeId opId = blocks::id(row.op);
+    EXPECT_TRUE(rowIds.insert(opId).second) << blocks::opcodeName(opId);
+    const blocks::BlockSpec* spec = registry.specOf(opId);
+    ASSERT_NE(spec, nullptr) << blocks::opcodeName(opId);
+    EXPECT_TRUE(spec->pure) << spec->opcode << " has a row but is impure";
+    EXPECT_EQ(vm::findPureReporter(opId), row.fn) << spec->opcode;
+  }
+
+  // Every pure spec has a row or is engine-specific, never both; impure
+  // specs have no row.
+  for (const std::string& opcode : registry.opcodes()) {
+    const blocks::OpcodeId opId = registry.idOf(opcode);
+    const bool hasRow = vm::findPureReporter(opId) != nullptr;
+    if (!registry.specOf(opId)->pure) {
+      EXPECT_FALSE(hasRow) << opcode << " is impure but has a row";
+    } else if (engineSpecificPureOpcodes().count(opcode)) {
+      EXPECT_FALSE(hasRow)
+          << opcode << " gained a row; update engineSpecificPureOpcodes()";
+    } else {
+      EXPECT_TRUE(hasRow) << opcode << " is pure but has no row";
+    }
+  }
+
+  // Opcodes interned past the builtin palette have no row.
+  EXPECT_EQ(vm::findPureReporter(blocks::internOpcode("testOnlyReporter")),
+            nullptr);
 }
 
 TEST(DispatchTables, IdOfAndSpecOfRoundTripForEveryOpcode) {
