@@ -2,7 +2,9 @@
 //
 // The paper's Parallel.js workers "systematically process the remaining
 // elements" (dynamic self-scheduling). This ablation compares that
-// default against static contiguous and block-cyclic assignment:
+// default — whose grain the substrate chooses per claim (adaptiveGrain) —
+// against fixed-grain dynamic, static contiguous and block-cyclic
+// assignment:
 //
 //   * the reproduction table is a deterministic simulation in *weighted
 //     virtual time* (each item has a known cost; workers complete work at
@@ -36,7 +38,8 @@ std::vector<double> skewedCosts(size_t n) {
   return out;
 }
 
-/// Deterministic virtual-time makespan of a distribution policy.
+/// Deterministic virtual-time makespan of a distribution policy. For
+/// Dynamic, chunk 0 is the default grain (adaptiveGrain per claim).
 double simulateMakespan(const std::vector<double>& costs,
                         Distribution distribution, size_t workerCount,
                         size_t chunk) {
@@ -59,13 +62,16 @@ double simulateMakespan(const std::vector<double>& costs,
       std::priority_queue<double, std::vector<double>,
                           std::greater<double>> free;
       for (size_t w = 0; w < workerCount; ++w) free.push(0.0);
-      for (size_t begin = 0; begin < n; begin += chunk) {
+      for (size_t begin = 0; begin < n;) {
+        const size_t grain =
+            chunk != 0 ? chunk
+                       : psnap::workers::adaptiveGrain(n - begin, workerCount);
+        const size_t end = std::min(begin + grain, n);
         double at = free.top();
         free.pop();
-        for (size_t i = begin; i < std::min(begin + chunk, n); ++i) {
-          at += costs[i];
-        }
+        for (size_t i = begin; i < end; ++i) at += costs[i];
         free.push(at);
+        begin = end;
       }
       double makespan = 0;
       while (!free.empty()) {
@@ -88,6 +94,7 @@ void printReproduction() {
     Distribution distribution;
     size_t chunk;
   } rows[] = {
+      {"dynamic(auto)", Distribution::Dynamic, 0},
       {"dynamic(1)", Distribution::Dynamic, 1},
       {"dynamic(16)", Distribution::Dynamic, 16},
       {"contiguous", Distribution::Contiguous, 1},
@@ -114,32 +121,41 @@ std::vector<Value> itemsFrom(const std::vector<double>& costs) {
 }
 
 void BM_Distribution(benchmark::State& state) {
-  const Distribution distributions[] = {
-      Distribution::Dynamic, Distribution::Contiguous,
-      Distribution::BlockCyclic};
-  const char* names[] = {"dynamic", "contiguous", "blockcyclic"};
-  const auto which = state.range(0);
+  struct Config {
+    const char* name;
+    Distribution distribution;
+    size_t chunk;  // 0: the substrate's default grain
+  };
+  const Config configs[] = {
+      {"dynamic", Distribution::Dynamic, 8},
+      {"contiguous", Distribution::Contiguous, 8},
+      {"blockcyclic", Distribution::BlockCyclic, 8},
+      {"dynamic(auto)", Distribution::Dynamic, 0},
+      {"dynamic(1)", Distribution::Dynamic, 1},
+  };
+  const Config& config = configs[state.range(0)];
   auto items = itemsFrom(skewedCosts(size_t(state.range(1))));
   for (auto _ : state) {
-    Parallel job(items, ParallelOptions{
-                            .maxWorkers = 4,
-                            .distribution = distributions[which],
-                            .chunkSize = 8});
+    Parallel job(items, ParallelOptions{.maxWorkers = 4,
+                                        .distribution = config.distribution,
+                                        .chunkSize = config.chunk});
     job.map([](const Value& v) {
       volatile double x = 0;
-      for (int i = 0; i < int(v.asNumber()) * 50; ++i) x += i;
+      for (int i = 0; i < int(v.asNumber()) * 50; ++i) x = x + i;
       return v;
     });
     job.wait();
     benchmark::DoNotOptimize(job.data());
   }
-  state.SetLabel(names[which]);
+  state.SetLabel(config.name);
   state.SetItemsProcessed(state.iterations() * state.range(1));
 }
 BENCHMARK(BM_Distribution)
     ->Args({0, 2000})
     ->Args({1, 2000})
-    ->Args({2, 2000});
+    ->Args({2, 2000})
+    ->Args({3, 2000})
+    ->Args({4, 2000});
 
 void BM_WorkerCountSweep(benchmark::State& state) {
   auto items = itemsFrom(uniformCosts(4000));

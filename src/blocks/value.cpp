@@ -337,8 +337,9 @@ ListPtr List::makeMapped(const Value* data, size_t size,
 }
 
 void List::detachForWrite() {
-  if (buf_ && (buf_->mapped() || buf_.use_count() > 1)) {
-    // The buffer is held by a pending snapshot (or this node is one), or
+  if (buf_ &&
+      (buf_->mapped() || buf_->shared.load(std::memory_order_acquire))) {
+    // The buffer is shared with a snapshot (or this node is one), or
     // aliases an immutable mapped region. Shared/mapped buffers are
     // sublist-free by construction — snapshotClone rebuilds any buffer
     // containing ListRefs, and the persist layer materializes spines —
@@ -397,7 +398,8 @@ void List::removeAt(size_t index1) {
 
 void List::clear() {
   version_.fetch_add(1, std::memory_order_relaxed);
-  if (buf_ && (buf_->mapped() || buf_.use_count() > 1)) {
+  if (buf_ &&
+      (buf_->mapped() || buf_->shared.load(std::memory_order_acquire))) {
     buf_.reset();  // the snapshot/mapping keeps the old buffer; we go empty
   } else if (buf_) {
     buf_->owned.clear();
@@ -556,8 +558,9 @@ ListPtr List::snapshotCloneGuarded(std::vector<const List*>& path) const {
   auto clone = std::make_shared<List>();
   switch (flatAudit()) {
     case FlatAudit::Shareable: {
-      // O(1): the snapshot shares the buffer; whichever side mutates
-      // first pays for the copy at its detach gate.
+      // O(1): the snapshot shares the buffer; each side pays for a copy
+      // at its detach gate when it first mutates.
+      if (buf_) buf_->shared.store(true, std::memory_order_release);
       clone->buf_ = buf_;
       // Seed the clone's audit cache — its buffer is known shareable.
       clone->auditWord_.store((uint64_t(1) << 2) |

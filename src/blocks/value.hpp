@@ -326,6 +326,11 @@ class List {
     /// Keeps the mapped memory alive (type-erased: the persist layer's
     /// region object). Null for owned buffers.
     std::shared_ptr<const void> region;
+    /// Set once a snapshot shares this buffer; from then on every owner
+    /// copies it out before writing. Not use_count(): another thread's
+    /// snapshot may read the buffer and then release it, and a relaxed
+    /// use_count() of 1 does not order those reads before our writes.
+    std::atomic<bool> shared{false};
   };
 
   /// What one scan of the *own* buffer (not sublists) established; cached
@@ -339,7 +344,7 @@ class List {
   };
 
   FlatAudit flatAudit() const;
-  /// Copy the buffer out if a snapshot still shares it or it aliases a
+  /// Copy the buffer out if a snapshot has shared it or it aliases a
   /// mapped region, then bump version.
   void detachForWrite();
   std::vector<Value>& writable();

@@ -109,14 +109,12 @@ void parallelMapHandler(Process& p, Context& c, ParallelBlockOptions opts) {
     job->source = list;
     workers::ParallelOptions parOptions;
     parOptions.maxWorkers = workerCount;
-    parOptions.distribution = opts.distribution;
-    parOptions.chunkSize = opts.chunkSize;
     parOptions.maxRetries = opts.maxRetries;
     parOptions.deadlineSeconds = opts.deadlineSeconds;
     parOptions.allowDegrade = opts.allowDegrade;
     // Chain the op under the process's own token (null when the process
     // has none): stopping the script — or shedding the tenant that owns
-    // it — cancels the in-flight pool work at its next chunk boundary.
+    // it — cancels the in-flight pool work within kPollItems items.
     parOptions.cancel = p.cancelToken();
     try {
       job->parallel = std::make_shared<workers::Parallel>(list, parOptions);
@@ -357,8 +355,6 @@ void launchParallelMapHandler(Process& p, Context& c,
     workers::MapFn fn = tiered.fn;
     workers::ParallelOptions parOptions;
     parOptions.maxWorkers = workerCount;
-    parOptions.distribution = opts.distribution;
-    parOptions.chunkSize = opts.chunkSize;
     parOptions.maxRetries = opts.maxRetries;
     parOptions.deadlineSeconds = opts.deadlineSeconds;
     // No sequential fallback behind a future: the caller chose deferred

@@ -34,10 +34,9 @@
 
 namespace psnap::core {
 
-/// Tuning for the parallel blocks (ablation A2 of DESIGN.md).
+/// Fault-model settings for the parallel blocks. Their maps use the
+/// substrate's default Dynamic distribution and adaptive grain.
 struct ParallelBlockOptions {
-  workers::Distribution distribution = workers::Distribution::Dynamic;
-  size_t chunkSize = 1;
   /// Per-chunk substrate-error retries inside worker jobs.
   int maxRetries = 2;
   /// Wall-clock budget per parallel block invocation; 0 means none.

@@ -66,13 +66,13 @@ struct Options {
   /// Permit the sequential rerun after a transient substrate failure.
   bool allowDegrade = true;
   /// External cancellation for the whole pipeline.
-  CancelTokenPtr cancel;
+  CancelTokenPtr cancel{};
   /// Optional chunk-at-a-time fast path for the map phase (the native
   /// tier's compiled kernel). Same contract as workers::MapBatchFn:
   /// all-or-nothing in-place transform, false when not servable. The
   /// pipeline keys pairs by the ORIGINAL items, so the batch transform
   /// runs on a scratch copy of each slice.
-  workers::MapBatchFn mapBatch;
+  workers::MapBatchFn mapBatch{};
 };
 
 struct Stats {

@@ -214,4 +214,73 @@ bool parseNumber(std::string_view text, double& out) {
   return true;
 }
 
+Utf8Char utf8At(std::string_view text, size_t pos) {
+  const auto byte = [&](size_t i) { return uint8_t(text[pos + i]); };
+  const uint8_t lead = byte(0);
+  if (lead < 0x80) return {lead, 1};
+  // Sequence length and the valid range of the second byte (which rules
+  // out overlong forms, surrogates and code points above U+10FFFF).
+  size_t length;
+  uint8_t low = 0x80, high = 0xbf;
+  uint32_t codePoint;
+  if (lead >= 0xc2 && lead <= 0xdf) {
+    length = 2;
+    codePoint = lead & 0x1f;
+  } else if (lead >= 0xe0 && lead <= 0xef) {
+    length = 3;
+    codePoint = lead & 0x0f;
+    if (lead == 0xe0) low = 0xa0;
+    if (lead == 0xed) high = 0x9f;
+  } else if (lead >= 0xf0 && lead <= 0xf4) {
+    length = 4;
+    codePoint = lead & 0x07;
+    if (lead == 0xf0) low = 0x90;
+    if (lead == 0xf4) high = 0x8f;
+  } else {
+    return {lead, 1};
+  }
+  if (text.size() - pos < length) return {lead, 1};
+  for (size_t i = 1; i < length; ++i) {
+    const uint8_t next = byte(i);
+    if (next < (i == 1 ? low : 0x80) || next > (i == 1 ? high : 0xbf)) {
+      return {lead, 1};
+    }
+    codePoint = (codePoint << 6) | (next & 0x3f);
+  }
+  return {codePoint, length};
+}
+
+size_t utf8Count(std::string_view text) {
+  size_t count = 0;
+  for (size_t pos = 0; pos < text.size(); pos += utf8At(text, pos).bytes) {
+    ++count;
+  }
+  return count;
+}
+
+std::string utf8Encode(long long codePoint) {
+  if (codePoint < 0 || codePoint > 0x10ffff ||
+      (codePoint >= 0xd800 && codePoint <= 0xdfff)) {
+    codePoint = 0xfffd;
+  }
+  const auto cp = uint32_t(codePoint);
+  std::string out;
+  if (cp < 0x80) {
+    out += char(cp);
+  } else if (cp < 0x800) {
+    out += char(0xc0 | (cp >> 6));
+    out += char(0x80 | (cp & 0x3f));
+  } else if (cp < 0x10000) {
+    out += char(0xe0 | (cp >> 12));
+    out += char(0x80 | ((cp >> 6) & 0x3f));
+    out += char(0x80 | (cp & 0x3f));
+  } else {
+    out += char(0xf0 | (cp >> 18));
+    out += char(0x80 | ((cp >> 12) & 0x3f));
+    out += char(0x80 | ((cp >> 6) & 0x3f));
+    out += char(0x80 | (cp & 0x3f));
+  }
+  return out;
+}
+
 }  // namespace psnap::strings

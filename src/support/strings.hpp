@@ -59,4 +59,24 @@ std::string formatNumber(double value);
 /// Parse a double; returns false when `text` is not numeric.
 bool parseNumber(std::string_view text, double& out);
 
+/// One character of UTF-8 text: its code point and its length in bytes.
+struct Utf8Char {
+  uint32_t codePoint;
+  size_t bytes;
+};
+
+/// The character starting at byte `pos` (< text.size()). A byte that does
+/// not start a well-formed sequence (stray continuation, overlong form,
+/// surrogate, truncated tail) is one character of its own whose code
+/// point is the byte's value, so every byte belongs to exactly one
+/// character and decoding never reads past the end of `text`.
+Utf8Char utf8At(std::string_view text, size_t pos);
+
+/// Number of characters in `text` (see utf8At).
+size_t utf8Count(std::string_view text);
+
+/// UTF-8 encoding of `codePoint`; U+FFFD when it is not a Unicode scalar
+/// value (negative, a surrogate, or above U+10FFFF).
+std::string utf8Encode(long long codePoint);
+
 }  // namespace psnap::strings

@@ -69,7 +69,11 @@ Value split(const Value* in, size_t) {
   if (sep == "whitespace" || sep == "word" || sep.empty()) {
     parts = strings::splitWhitespace(text);
   } else if (sep == "letter") {
-    for (char ch : text) parts.emplace_back(1, ch);
+    for (size_t pos = 0; pos < text.size();) {
+      const size_t bytes = strings::utf8At(text, pos).bytes;
+      parts.push_back(text.substr(pos, bytes));
+      pos += bytes;
+    }
   } else if (sep == "line") {
     parts = strings::split(text, '\n');
   } else if (sep.size() == 1) {
@@ -146,24 +150,28 @@ constexpr PureRow kRows[] = {
       for (size_t i = 0; i < n; ++i) out += in[i].asText();
       return Value(out);
     }},
+    // Text positions and lengths count characters (strings::utf8At), not
+    // bytes.
     {Op::reportLetter, [](const Value* in, size_t) {
       const std::string text = in[1].asText();
       const long long index = in[0].asInteger();
-      if (index < 1 || static_cast<size_t>(index) > text.size()) {
-        return Value(std::string());
+      size_t pos = 0;
+      for (long long i = 1; i < index && pos < text.size(); ++i) {
+        pos += strings::utf8At(text, pos).bytes;
       }
-      return Value(std::string(1, text[static_cast<size_t>(index - 1)]));
+      if (index < 1 || pos >= text.size()) return Value(std::string());
+      return Value(text.substr(pos, strings::utf8At(text, pos).bytes));
     }},
-    {Op::reportStringSize,
-     [](const Value* in, size_t) { return Value(in[0].asText().size()); }},
+    {Op::reportStringSize, [](const Value* in, size_t) {
+      return Value(strings::utf8Count(in[0].asText()));
+    }},
     {Op::reportUnicode, [](const Value* in, size_t) {
       const std::string text = in[0].asText();
       if (text.empty()) throw Error("unicode of empty text");
-      return Value(static_cast<double>(static_cast<unsigned char>(text[0])));
+      return Value(static_cast<double>(strings::utf8At(text, 0).codePoint));
     }},
     {Op::reportUnicodeAsLetter, [](const Value* in, size_t) {
-      return Value(
-          std::string(1, static_cast<char>(in[0].asInteger() & 0xff)));
+      return Value(strings::utf8Encode(in[0].asInteger()));
     }},
     {Op::reportSplit, split},
     {Op::reportIsA, [](const Value* in, size_t) {

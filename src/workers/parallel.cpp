@@ -34,7 +34,6 @@ Parallel::Parallel(blocks::ItemSpan data, ParallelOptions options)
       stats_(&substrateStats()),
       perWorker_(options.maxWorkers == 0 ? kDefaultWorkers
                                          : options.maxWorkers) {
-  if (options_.chunkSize == 0) options_.chunkSize = 1;
   if (options_.maxRetries < 0) options_.maxRetries = 0;
   cloneIn(data);
 }
@@ -92,6 +91,21 @@ uint64_t Parallel::processedItems() const {
   return total;
 }
 
+bool Parallel::claim(size_t n, size_t& begin, size_t& end) {
+  // The default grain depends on what is left, so a claim is a CAS on
+  // the cursor rather than a fetch_add of a fixed stride.
+  begin = cursor_.load(std::memory_order_relaxed);
+  do {
+    if (begin >= n) return false;
+    const size_t grain = options_.chunkSize != 0
+                             ? options_.chunkSize
+                             : adaptiveGrain(n - begin, workers_);
+    end = std::min(begin + grain, n);
+  } while (!cursor_.compare_exchange_weak(begin, end,
+                                          std::memory_order_relaxed));
+  return true;
+}
+
 void Parallel::mapRange(const MapFn& fn, size_t begin, size_t end,
                         size_t w) {
   // The retry loop is exact: each element is written at most once, and a
@@ -111,8 +125,15 @@ void Parallel::mapRange(const MapFn& fn, size_t begin, size_t end,
       if (i == begin && batch_ && batch_(data_.data() + begin, end - begin)) {
         i = end;
       }
-      for (; i < end; ++i) data_[i] = fn(data_[i]);
-      perWorker_[w].items.fetch_add(end - begin, std::memory_order_relaxed);
+      // A trip mid-range stops here with [i, end) unmapped; only the
+      // items actually mapped are counted, so wait() sees the shortfall
+      // and fails the operation.
+      while (i < end) {
+        const size_t stop = std::min(end, i + kPollItems);
+        for (; i < stop; ++i) data_[i] = fn(data_[i]);
+        if (i < end && !keepGoing()) break;
+      }
+      perWorker_[w].items.fetch_add(i - begin, std::memory_order_relaxed);
       return;
     } catch (...) {
       std::exception_ptr error = std::current_exception();
@@ -127,10 +148,13 @@ void Parallel::mapRange(const MapFn& fn, size_t begin, size_t end,
   }
 }
 
-void Parallel::launch(std::function<void(size_t)> body, size_t taskCount) {
+void Parallel::claimLaunch() {
   if (launched_.exchange(true)) {
     throw Error("Parallel: an operation is already running on this object");
   }
+}
+
+void Parallel::launch(std::function<void(size_t)> body, size_t taskCount) {
   if (options_.deadlineSeconds > 0 || options_.cancel) {
     token_ = options_.deadlineSeconds > 0
                  ? CancelToken::withDeadline(options_.deadlineSeconds,
@@ -173,22 +197,21 @@ void Parallel::launch(std::function<void(size_t)> body, size_t taskCount) {
 }
 
 void Parallel::map(MapFn fn, MapBatchFn batch) {
+  claimLaunch();
   batch_ = std::move(batch);
   const size_t n = data_.size();
   inputSize_ = n;
   switch (options_.distribution) {
     case Distribution::Dynamic: {
-      const size_t chunk = options_.chunkSize;
-      // Only as many chunk tasks as there are chunks to claim; idle
+      // Only as many chunk tasks as there can be chunks to claim; idle
       // logical workers keep their zero itemsPerWorker slot.
-      const size_t taskCount =
-          std::min(workers_, (n + chunk - 1) / chunk);
+      const size_t chunk = std::max<size_t>(options_.chunkSize, 1);
+      const size_t taskCount = std::min(workers_, (n + chunk - 1) / chunk);
       launch(
-          [this, fn, n, chunk](size_t w) {
-            while (keepGoing()) {
-              size_t begin = cursor_.fetch_add(chunk);
-              if (begin >= n) break;
-              mapRange(fn, begin, std::min(begin + chunk, n), w);
+          [this, fn, n](size_t w) {
+            size_t begin = 0, end = 0;
+            while (keepGoing() && claim(n, begin, end)) {
+              mapRange(fn, begin, end, w);
             }
           },
           taskCount);
@@ -207,7 +230,7 @@ void Parallel::map(MapFn fn, MapBatchFn batch) {
       break;
     }
     case Distribution::BlockCyclic: {
-      const size_t chunk = options_.chunkSize;
+      const size_t chunk = std::max<size_t>(options_.chunkSize, 1);
       const size_t stride = chunk * workers_;
       const size_t taskCount =
           std::min(workers_, (n + chunk - 1) / chunk);
@@ -225,6 +248,7 @@ void Parallel::map(MapFn fn, MapBatchFn batch) {
 }
 
 void Parallel::reduce(ReduceFn fn) {
+  claimLaunch();
   isReduce_ = true;
   combiner_ = fn;
   const size_t n = data_.size();

@@ -17,7 +17,9 @@
 //   * "if fewer workers are created than there are list elements, the
 //     workers systematically process the remaining elements from the list
 //     until completed" — the default distribution is dynamic
-//     self-scheduling over an atomic cursor;
+//     self-scheduling over an atomic cursor, with a grain the substrate
+//     chooses per claim (adaptiveGrain: large chunks first, single items
+//     at the tail);
 //   * completion is observed through onComplete() callbacks (the
 //     completion-driven successor of Listing 2's `operation._resolved`
 //     poll flag): the parallelMap block parks its process on the
@@ -57,14 +59,16 @@
 //      never retry or degrade — they surface with their original
 //      exception type.
 // Deadlines ride the same machinery: deadlineSeconds arms a CancelToken
-// that chunk claims poll, and an expired deadline surfaces as a
-// TimeoutError unless every item had already been processed.
+// that chunk claims (and chunks, every kPollItems items) poll, and an
+// expired deadline surfaces as a TimeoutError unless every item had
+// already been processed.
 //
 // In addition to wall-clock execution, the facade tracks items-per-worker
 // so benches can report *virtual makespan* (max items on any worker) —
 // the metric that carries the paper's speedup shape on a 1-core host.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <functional>
@@ -96,18 +100,40 @@ using MapBatchFn = std::function<bool(blocks::Value*, size_t count)>;
 
 /// How list elements are assigned to workers (ablation A2 in DESIGN.md).
 enum class Distribution {
-  Dynamic,     ///< self-scheduling: workers pull the next index (default)
+  Dynamic,     ///< self-scheduling: workers claim the next chunk (default)
   Contiguous,  ///< static contiguous chunks of ceil(n/w)
   BlockCyclic, ///< static round-robin by chunkSize
 };
+
+/// Largest chunk one Dynamic claim takes under the default grain.
+inline constexpr size_t kMaxGrain = 4096;
+
+/// A chunk polls for cancellation, failure and deadline every kPollItems
+/// items, so a trip stops each worker within kPollItems items however
+/// large its chunk is (mr::Job's map slices poll at the same stride).
+inline constexpr size_t kPollItems = 512;
+
+/// The Dynamic distribution's default grain (factoring self-scheduling):
+/// a claim made while `remaining` items are unclaimed among `workers`
+/// logical workers takes clamp(ceil(remaining / (2·workers)), 1,
+/// kMaxGrain) items. Chunks start large, so a cheap map pays a handful
+/// of claims, and shrink to one item at the tail, so a heavy or skewed
+/// map stays balanced. Claims over n items number at most about
+/// n / kMaxGrain + 2·workers·(ln n + 1).
+constexpr size_t adaptiveGrain(size_t remaining, size_t workers) {
+  const size_t split = 2 * std::max<size_t>(workers, 1);
+  return std::clamp<size_t>((remaining + split - 1) / split, 1, kMaxGrain);
+}
 
 struct ParallelOptions {
   /// Number of logical workers; 0 uses the default of 4 (the paper:
   /// "By default, four Web Workers are created").
   size_t maxWorkers = 0;
   Distribution distribution = Distribution::Dynamic;
-  /// Chunk granularity for Dynamic and BlockCyclic (0 normalizes to 1).
-  size_t chunkSize = 1;
+  /// Chunk granularity. 0 (the default) lets the substrate choose:
+  /// adaptiveGrain per claim for Dynamic, 1 for BlockCyclic. A positive
+  /// value fixes the grain (the A2 ablation). Contiguous ignores it.
+  size_t chunkSize = 0;
   /// Retries per chunk on SubstrateError (0 disables). Only the
   /// substrate class retries; user-script errors are deterministic.
   int maxRetries = 2;
@@ -118,8 +144,8 @@ struct ParallelOptions {
   /// launch, instead of failing the operation.
   bool allowDegrade = true;
   /// External cancellation (e.g. the owning script's token): cancelling
-  /// it cancels this operation at its next chunk boundary.
-  CancelTokenPtr cancel;
+  /// it cancels this operation within kPollItems items per worker.
+  CancelTokenPtr cancel{};
 };
 
 class Parallel {
@@ -208,13 +234,21 @@ class Parallel {
   };
 
   void cloneIn(blocks::ItemSpan source);
+  /// Mark the one operation as launched, or throw if one already is —
+  /// before map()/reduce() write anything the running chunk tasks read.
+  void claimLaunch();
   /// Submit `taskCount` chunk tasks running `body(logicalWorker)`.
   void launch(std::function<void(size_t)> body, size_t taskCount);
   /// Record the first failure (original exception preserved) and cancel
   /// the group so unstarted siblings are skipped.
   void recordError(std::exception_ptr error);
-  /// Map one range in place with the chunk retry loop. Returns normally
-  /// or rethrows the unretryable / retry-exhausted error.
+  /// Claim the next Dynamic chunk [begin, end) of `n` items; false once
+  /// every item is claimed.
+  bool claim(size_t n, size_t& begin, size_t& end);
+  /// Map one range in place with the chunk retry loop, polling
+  /// keepGoing() every kPollItems items. Returns normally (possibly
+  /// stopped early by a cancel) or rethrows the unretryable /
+  /// retry-exhausted error.
   void mapRange(const MapFn& fn, size_t begin, size_t end, size_t w);
   /// Should the task keep claiming chunks? False once cancelled, failed,
   /// or past the deadline.

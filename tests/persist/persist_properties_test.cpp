@@ -76,7 +76,9 @@ TEST_P(PersistProperty, FlatListsRoundTripExactly) {
     ListPtr original = randomFlatList(rng, 200);
     saveList(path, original);
     ListPtr loaded = loadList(path);
-    if (original->length() > 0) EXPECT_TRUE(loaded->mappedBuffer());
+    if (original->length() > 0) {
+      EXPECT_TRUE(loaded->mappedBuffer());
+    }
     EXPECT_TRUE(loaded->deepEquals(*original))
         << "seed=" << GetParam() << " trial=" << trial;
     EXPECT_EQ(loaded->display(), original->display());

@@ -144,6 +144,18 @@ std::vector<Sample> edgeSamples() {
       {"reportMonadic", monadic("sqrt", difference(0, empty()))},
       {"reportMonadic", monadic("ln", difference(0, empty()))},
       {"reportMonadic", monadic("log", difference(0, empty()))},
+      // Text counts characters, not UTF-8 bytes ("é" is 2 bytes, "日" 3,
+      // "😀" 4); a malformed byte is one character.
+      {"reportUnicode", blk("reportUnicode", {In("é")})},
+      {"reportUnicode", blk("reportUnicode", {In("日本")})},
+      {"reportUnicode", blk("reportUnicode", {In("😀")})},
+      {"reportStringSize", textLength("日本")},
+      {"reportStringSize", textLength("a\xff\xe6\x97")},
+      {"reportLetter", letter(empty(), "é日😀")},
+      {"reportLetter", letter(2, "\xe6\x97\xa5")},
+      {"reportUnicodeAsLetter", blk("reportUnicodeAsLetter", {In(233)})},
+      {"reportUnicodeAsLetter", blk("reportUnicodeAsLetter", {In(128512)})},
+      {"reportSplit", splitText("é日😀", "letter")},
   };
 }
 
@@ -212,6 +224,36 @@ INSTANTIATE_TEST_SUITE_P(EdgeInputs, OpcodeErrorParity,
                                       edgeSamples()[info.param].opcode) +
                                   "_" + std::to_string(info.param);
                          });
+
+// The shared text rows report characters: what both engines agree on
+// above is also what Snap! reports.
+TEST(TextReporters, CountCharactersNotBytes) {
+  const auto value = [](const blocks::BlockPtr& expr) {
+    const Outcome out = viaInterpreter(expr, 1.0);
+    EXPECT_EQ(out.errorClass, ErrorClass::None) << out.message;
+    return out.value;
+  };
+  EXPECT_EQ(value(blk("reportUnicode", {In("é")})).asNumber(), 233);
+  EXPECT_EQ(value(blk("reportUnicode", {In("日本")})).asNumber(), 0x65e5);
+  EXPECT_EQ(value(blk("reportUnicode", {In("😀")})).asNumber(), 0x1f600);
+  EXPECT_EQ(value(blk("reportUnicode", {In("\xff")})).asNumber(), 255);
+  EXPECT_EQ(value(textLength("é")).asNumber(), 1);
+  EXPECT_EQ(value(textLength("日本")).asNumber(), 2);
+  EXPECT_EQ(value(textLength("a😀b")).asNumber(), 3);
+  EXPECT_EQ(value(textLength("a\xff\xe6\x97")).asNumber(), 4);
+  EXPECT_EQ(value(letter(2, "日本")).asText(), "本");
+  EXPECT_EQ(value(letter(2, "a😀b")).asText(), "😀");
+  EXPECT_EQ(value(letter(3, "日本")).asText(), "");
+  EXPECT_EQ(value(letter(2, "\xe6\x97")).asText(), "\x97");
+  EXPECT_EQ(value(blk("reportUnicodeAsLetter", {In(233)})).asText(), "é");
+  EXPECT_EQ(value(blk("reportUnicodeAsLetter", {In(0x65e5)})).asText(), "日");
+  EXPECT_EQ(value(blk("reportUnicodeAsLetter", {In(0x1f600)})).asText(),
+            "😀");
+  EXPECT_EQ(value(blk("reportUnicodeAsLetter", {In(0xd800)})).asText(),
+            "\xef\xbf\xbd");
+  EXPECT_EQ(value(splitText("é日😀", "letter")).display(),
+            value(listOf({"é", "日", "😀"})).display());
+}
 
 // ---------------------------------------------------------------------------
 // Dispatch-table integrity: the interned-id tables (registry, primitive

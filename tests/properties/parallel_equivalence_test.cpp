@@ -4,7 +4,12 @@
 // paper's contribution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "blocks/builder.hpp"
 #include "core/parallel_blocks.hpp"
@@ -84,6 +89,110 @@ INSTANTIATE_TEST_SUITE_P(
                           workers::Distribution::BlockCyclic),
         ::testing::Values(1, 7, 64, 257),
         ::testing::Values(1, 3, 16)));
+
+// ---------------------------------------------------------------------------
+// The default grain (adaptiveGrain) as a pure schedule: claims partition
+// the input, the tail claims single items, and the claim count stays
+// O(workers·log n + n/kMaxGrain).
+// ---------------------------------------------------------------------------
+
+/// Claim sizes in order, as the Dynamic cursor hands them out. The
+/// sequence is deterministic: each claim sizes itself from what is left.
+std::vector<size_t> grainSchedule(size_t n, size_t workers) {
+  std::vector<size_t> claims;
+  for (size_t left = n; left > 0;) {
+    claims.push_back(workers::adaptiveGrain(left, workers));
+    if (claims.back() > left) break;  // the caller's assertion catches it
+    left -= claims.back();
+  }
+  return claims;
+}
+
+double claimBound(size_t n, size_t workers) {
+  return double(n) / double(workers::kMaxGrain) +
+         2.0 * double(workers) * (std::log(double(n) + 1) + 1) + 1;
+}
+
+TEST(AdaptiveGrain, ScheduleCoversInputAndEndsWithSingleItems) {
+  for (size_t workers : {1, 2, 3, 4, 16, 64}) {
+    for (size_t n : {1, 2, 7, 100, 4095, 4096, 100003, 1000000, 10000000}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " workers=" + std::to_string(workers));
+      const std::vector<size_t> claims = grainSchedule(n, workers);
+      size_t total = 0;
+      for (size_t c : claims) {
+        EXPECT_GE(c, 1u);
+        EXPECT_LE(c, workers::kMaxGrain);
+        total += c;
+      }
+      EXPECT_EQ(total, n);
+      EXPECT_EQ(claims.back(), 1u);
+      // Non-increasing: chunks only shrink as the input drains.
+      EXPECT_TRUE(std::is_sorted(claims.rbegin(), claims.rend()));
+      EXPECT_LE(double(claims.size()), claimBound(n, workers));
+    }
+  }
+  EXPECT_EQ(workers::adaptiveGrain(1000000, 4), workers::kMaxGrain);
+  EXPECT_EQ(workers::adaptiveGrain(80, 4), 10u);
+  EXPECT_EQ(workers::adaptiveGrain(3, 4), 1u);
+  EXPECT_EQ(workers::adaptiveGrain(0, 4), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Default options over n × workers: byte-identical to a sequential map,
+// every item counted once, and exactly one batch call per scheduled claim.
+// ---------------------------------------------------------------------------
+class DefaultGrainEquivalence
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(DefaultGrainEquivalence, MatchesSequentialMap) {
+  const auto [size, workerCount] = GetParam();
+  std::vector<Value> input;
+  input.reserve(size);
+  for (size_t i = 0; i < size; ++i) {
+    // Mixed kinds, so the comparison covers more than doubles.
+    input.push_back(i % 5 == 0 ? Value(std::to_string(i)) : Value(double(i)));
+  }
+  auto fn = [](const Value& v) {
+    return v.isText() ? Value(v.asText() + "!") : Value(v.asNumber() * 3 - 1);
+  };
+  std::vector<Value> expected;
+  expected.reserve(size);
+  for (const Value& v : input) expected.push_back(fn(v));
+
+  std::atomic<size_t> batchCalls{0};
+  workers::Parallel job(input, {.maxWorkers = workerCount});
+  job.map(fn, [&](Value*, size_t) {
+    batchCalls.fetch_add(1);
+    return false;  // decline: the per-item loop maps the chunk
+  });
+  const auto& out = job.data();
+  ASSERT_EQ(out.size(), size);
+  for (size_t i = 0; i < size; ++i) {
+    ASSERT_TRUE(out[i].equals(expected[i])) << i;
+  }
+  EXPECT_EQ(blocks::List::make(std::vector<Value>(out))->display(),
+            blocks::List::make(std::move(expected))->display());
+  uint64_t total = 0;
+  for (uint64_t c : job.itemsPerWorker()) total += c;
+  EXPECT_EQ(total, uint64_t(size));
+  EXPECT_EQ(batchCalls.load(), grainSchedule(size, workerCount).size());
+  EXPECT_LE(double(batchCalls.load()), claimBound(size, workerCount));
+}
+
+std::vector<std::tuple<size_t, size_t>> defaultGrainCases() {
+  std::vector<std::tuple<size_t, size_t>> cases;
+  for (size_t w : {1, 2, 4, 16}) {
+    for (size_t n : {size_t(0), size_t(1), w - 1, w, w + 1, size_t(1000),
+                     size_t(100003)}) {
+      cases.emplace_back(n, w);
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DefaultGrainEquivalence,
+                         ::testing::ValuesIn(defaultGrainCases()));
 
 // ---------------------------------------------------------------------------
 // Random pure rings: compiled worker function ≡ interpreter, across seeds.

@@ -113,5 +113,47 @@ TEST(ParseNumber, Invalid) {
   EXPECT_FALSE(parseNumber("4 2", out));
 }
 
+TEST(Utf8, DecodesWellFormedCharacters) {
+  EXPECT_EQ(utf8At("A", 0).codePoint, 65u);
+  EXPECT_EQ(utf8At("é", 0).codePoint, 233u);
+  EXPECT_EQ(utf8At("é", 0).bytes, 2u);
+  EXPECT_EQ(utf8At("日本", 3).codePoint, 0x672cu);
+  EXPECT_EQ(utf8At("😀", 0).codePoint, 0x1f600u);
+  EXPECT_EQ(utf8At("😀", 0).bytes, 4u);
+  EXPECT_EQ(utf8Count("a日😀é"), 4u);
+  EXPECT_EQ(utf8Count(""), 0u);
+}
+
+TEST(Utf8, MalformedBytesAreSingleCharacters) {
+  // Stray continuation, overlong "/", UTF-16 surrogate, above U+10FFFF,
+  // and sequences truncated by the end of the text.
+  for (std::string_view bad :
+       {"\x80", "\xc0\xaf", "\xed\xa0\x80", "\xf4\x90\x80\x80",
+        "\xe6\x97", "\xf0\x9f\x98", "\xff"}) {
+    SCOPED_TRACE(std::string(bad));
+    EXPECT_EQ(utf8At(bad, 0).bytes, 1u);
+    EXPECT_EQ(utf8At(bad, 0).codePoint, uint8_t(bad[0]));
+    EXPECT_EQ(utf8Count(bad), bad.size());
+  }
+  // A truncated tail does not swallow the character after it.
+  EXPECT_EQ(utf8Count("\xe6" "A"), 2u);
+}
+
+TEST(Utf8, EncodesScalarValuesAndReplacesTheRest) {
+  EXPECT_EQ(utf8Encode(66), "B");
+  EXPECT_EQ(utf8Encode(233), "é");
+  EXPECT_EQ(utf8Encode(0x65e5), "日");
+  EXPECT_EQ(utf8Encode(0x1f600), "😀");
+  for (long long bad : {-1LL, 0xd800LL, 0xdfffLL, 0x110000LL}) {
+    EXPECT_EQ(utf8Encode(bad), "\xef\xbf\xbd") << bad;
+  }
+  for (long long cp : {0x7fLL, 0x80LL, 0x7ffLL, 0x800LL, 0xffffLL,
+                       0x10000LL, 0x10ffffLL}) {
+    const std::string text = utf8Encode(cp);
+    EXPECT_EQ(utf8At(text, 0).codePoint, uint32_t(cp));
+    EXPECT_EQ(utf8At(text, 0).bytes, text.size());
+  }
+}
+
 }  // namespace
 }  // namespace psnap::strings

@@ -92,6 +92,59 @@ TEST(Chaos, TaskThrowMapConvergesOrFailsTyped) {
   }
 }
 
+// Default-grain chunks run up to kMaxGrain items, so a retry resumes deep
+// inside a chunk. Both runs must still be exact: a chunk-start throw
+// retries a pristine chunk, and a throw from fn mid-chunk resumes at the
+// failed item with every earlier item of the chunk written exactly once.
+TEST(Chaos, TaskThrowDefaultGrainIsExact) {
+  constexpr int kItems = 100003;
+  for (uint64_t seed : chaosSeeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const uint64_t retriesBefore =
+        substrateStats().retries.load(std::memory_order_relaxed);
+    {
+      fault::ScopedFault armed(
+          configFor(seed, fault::Point::TaskThrow, 1, 4));
+      // Enough retries that no chunk exhausts them (4^-13 per chunk).
+      Parallel p(numbers(kItems), {.maxWorkers = 4, .maxRetries = 12});
+      p.map([](const Value& v) { return Value(v.asNumber() * 2); });
+      const auto& data = p.data();
+      ASSERT_EQ(data.size(), size_t(kItems));
+      for (int i = 0; i < kItems; ++i) {
+        ASSERT_EQ(data[size_t(i)].asNumber(), 2 * (i + 1));
+      }
+    }
+    EXPECT_GT(substrateStats().retries.load(std::memory_order_relaxed),
+              retriesBefore);
+    expectPoolUsable();
+  }
+}
+
+TEST(Chaos, MidChunkTransientThrowDefaultGrainIsExact) {
+  // Every (kMaxGrain + 1)th item fails once with a retryable error. No
+  // chunk holds two of them, so the default two retries suffice; doubling
+  // an already-doubled item would show up as a wrong value.
+  constexpr int kItems = 100003;
+  constexpr size_t kStride = kMaxGrain + 1;
+  std::vector<std::atomic<bool>> failedOnce(size_t(kItems) + 1);
+  Parallel p(numbers(kItems), {.maxWorkers = 4});
+  p.map([&](const Value& v) {
+    const auto item = size_t(v.asNumber());
+    if (item % kStride == 0 && !failedOnce[item].exchange(true)) {
+      throw SubstrateError("transient worker loss");
+    }
+    return Value(v.asNumber() * 2);
+  });
+  const auto& data = p.data();
+  ASSERT_EQ(data.size(), size_t(kItems));
+  for (int i = 0; i < kItems; ++i) {
+    ASSERT_EQ(data[size_t(i)].asNumber(), 2 * (i + 1));
+  }
+  uint64_t total = 0;
+  for (uint64_t c : p.itemsPerWorker()) total += c;
+  EXPECT_EQ(total, uint64_t(kItems));
+}
+
 TEST(Chaos, TaskThrowCertainFailureKeepsSubstrateType) {
   const uint64_t retriesBefore =
       substrateStats().retries.load(std::memory_order_relaxed);

@@ -1,16 +1,19 @@
 // Edge cases for the pooled Parallel substrate: degenerate inputs,
 // option normalization, error propagation mid-chunk in every
-// distribution, misuse (double launch), and a stress run of many tiny
-// pooled ops submitted from several threads at once — the workload that
+// distribution, misuse (double launch), cancel and deadline latency under
+// the default (large-chunk) grain, and a stress run of many tiny pooled
+// ops submitted from several threads at once — the workload that
 // exercises the pool's cross-worker stealing and parking paths.
 #include "workers/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 
+#include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "workers/worker_pool.hpp"
 
@@ -125,6 +128,73 @@ TEST(ParallelEdge, SecondMapThrows) {
   p.wait();  // the first op still completes cleanly
   EXPECT_FALSE(p.failed());
   EXPECT_EQ(p.data().size(), 8u);
+}
+
+// --- cancel latency under the default grain ----------------------------------
+//
+// Default-grain chunks run up to kMaxGrain items, but a chunk polls every
+// kPollItems items, so after a trip each worker maps at most kPollItems
+// more items before it stops.
+
+/// A slow ring: busy-waits `micros` per item, then reports the item.
+Value slowIdentity(const Value& v, int micros) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(micros);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+  return v;
+}
+
+TEST(ParallelEdge, CancelStopsDefaultGrainWithinPollStride) {
+  constexpr size_t kWorkers = 4;
+  constexpr int kItems = 200000;
+  constexpr size_t kTripAt = 20000;
+  auto token = CancelToken::create();
+  std::atomic<size_t> calls{0};
+  std::atomic<size_t> late{0};
+  std::atomic<bool> tripped{false};
+  Parallel p(numbers(kItems), {.maxWorkers = kWorkers, .cancel = token});
+  p.map([&](const Value& v) {
+    if (tripped.load()) late.fetch_add(1);
+    if (calls.fetch_add(1) + 1 == kTripAt) {
+      token->cancel("stop requested");
+      tripped.store(true);
+    }
+    return slowIdentity(v, 1);
+  });
+  p.wait();
+  EXPECT_TRUE(p.failed());
+  EXPECT_EQ(p.errorClass(), ErrorClass::Cancelled);
+  EXPECT_THROW(p.data(), CancelledError);
+  EXPECT_LE(late.load(), kWorkers * kPollItems);
+  EXPECT_LT(calls.load(), size_t(kItems));
+}
+
+TEST(ParallelEdge, DeadlineStopsDefaultGrainWithinPollStride) {
+  constexpr size_t kWorkers = 4;
+  constexpr int kItems = 400000;  // >= 200 ms of work on 4 workers
+  constexpr double kDeadline = 0.02;
+  std::atomic<size_t> late{0};
+  Parallel p(numbers(kItems),
+             {.maxWorkers = kWorkers, .deadlineSeconds = kDeadline});
+  std::atomic<std::chrono::steady_clock::time_point> expired{
+      std::chrono::steady_clock::time_point::max()};
+  p.map([&](const Value& v) {
+    if (std::chrono::steady_clock::now() >= expired.load()) {
+      late.fetch_add(1);
+    }
+    return slowIdentity(v, 2);
+  });
+  // The deadline was armed inside map(), so it has passed by this point
+  // plus kDeadline: items started later certainly started after the trip.
+  expired.store(std::chrono::steady_clock::now() +
+                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double>(kDeadline)));
+  p.wait();
+  EXPECT_TRUE(p.failed());
+  EXPECT_EQ(p.errorClass(), ErrorClass::Timeout);
+  EXPECT_THROW(p.data(), TimeoutError);
+  EXPECT_LE(late.load(), kWorkers * kPollItems);
 }
 
 // --- stress: many tiny pooled ops from several threads ----------------------
