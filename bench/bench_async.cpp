@@ -28,7 +28,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "blocks/builder.hpp"
@@ -179,9 +178,7 @@ int main(int argc, char** argv) {
         input, one, count, psnap::mr::Options{.workers = 4}));
   }
   for (auto& job : inflight) {
-    while (!job->resolved()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+    job->wait();
     wordcountOk = wordcountOk && !job->failed() &&
                   job->result()->display() == reference;
   }

@@ -70,8 +70,9 @@
 # (test_workers, test_mapreduce, test_sched, test_serve, test_async) — the
 # interpreter suites
 # are single-threaded and would just multiply the ~10x tsan slowdown.
-# src/workers and src/mapreduce also compile with -Werror in every
-# preset, so the substrate stays warning-clean by contract.
+# Every src/ library, test and bench target compiles with -Werror in
+# every preset (PSNAP_WARNINGS_AS_ERRORS in CMakeLists.txt; GCC 12's
+# libstdc++ -Wrestrict false positives at -O3 stay warnings).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -1,10 +1,9 @@
 #include "mapreduce/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <thread>
+#include <numeric>
 #include <utility>
 
 #include "support/error.hpp"
@@ -23,32 +22,20 @@ using workers::WorkerPool;
 
 namespace {
 
-/// Bounded deterministic backoff before a stage-task retry: 100us, 200us,
-/// 400us, … capped at ~2ms — the same curve as Parallel's chunk retries,
-/// and fixed (no jitter) for the same reproducible-chaos reason.
-void stageRetryBackoff(int attempt) {
-  const int64_t micros =
-      std::min<int64_t>(int64_t{100} << std::min(attempt - 1, 8), 2000);
-  std::this_thread::sleep_for(std::chrono::microseconds(micros));
-}
+constexpr const char* kNullInput = "mapReduce: null input list";
 
-// A pair's sort key, computed once during the shuffle instead of once per
+// A pair's sort key, computed once per pair instead of once per
 // comparison (the seed re-ran parseNumber/toLower/display inside the
-// stable_sort comparator). `shard` is the key's hash bucket; keys that
-// the comparator treats as equivalent always share a shard, which is what
-// makes the sharded grouping emit the same order as a global sort (the
-// ordering proof is in DESIGN.md, "Executor architecture").
+// stable_sort comparator).
 //
 // The textual rank is not materialized for text keys: `key` is a cheap
 // COW handle whose bytes are compared case-insensitively on the fly
 // (strings::compareIgnoreCase orders exactly like the seed's
-// toLower-then-< over unsigned bytes), and the shard hash comes from the
-// cached lowered hash on the shared text rep. Only non-text keys still
-// build a folded display string.
+// toLower-then-< over unsigned bytes). Only non-text keys still build a
+// folded display string.
 struct SortKey {
   Value key;           // refcount-bump copy keeps the text bytes alive
   double num = 0;
-  size_t shard = 0;
   bool numeric = false;
   std::string folded;  // toLower(display), only for non-text keys
 };
@@ -57,7 +44,7 @@ std::string_view rankOf(const SortKey& k) {
   return k.key.isText() ? k.key.textView() : std::string_view(k.folded);
 }
 
-SortKey makeKey(const Value& key, size_t shardCount) {
+SortKey makeKey(const Value& key) {
   SortKey k;
   k.numeric = key.numericValue(k.num);
   // The textual rank stays reachable even for numeric keys — a numeric
@@ -67,16 +54,24 @@ SortKey makeKey(const Value& key, size_t shardCount) {
   } else {
     k.folded = strings::toLower(key.display());
   }
+  return k;
+}
+
+/// The key's hash bucket among `shardCount` shards. Keys that keyLess
+/// treats as equivalent always share a shard, which is what makes the
+/// sharded grouping emit the same order as a global sort (the ordering
+/// proof is in DESIGN.md, "Executor architecture").
+size_t shardOf(const SortKey& k, size_t shardCount) {
+  if (shardCount == 1) return 0;
   uint64_t hash;
   if (k.numeric) {
     hash = std::hash<double>{}(k.num);
-  } else if (key.isText()) {
-    hash = key.loweredHash();  // cached on the shared rep for long text
+  } else if (k.key.isText()) {
+    hash = k.key.loweredHash();  // cached on the shared rep for long text
   } else {
     hash = strings::hashLowered(k.folded);
   }
-  k.shard = hash % shardCount;
-  return k;
+  return hash % shardCount;
 }
 
 /// Exactly the seed comparator's semantics, over precomputed ranks.
@@ -106,195 +101,65 @@ Value toPair(const Value& item, const Value& mapped) {
   return Value(pair);
 }
 
-/// The shuffle: sort pairs by key and group equal keys, sharded.
-///
-///   A. slice tasks precompute every pair's SortKey and bin pair indices
-///      by shard (bins stay in ascending index order);
-///   B. shard tasks stable-sort their shard's indices by key and group
-///      adjacent equal keys into [key, valuesList] entries;
-///   C. the caller merges the per-shard sorted group lists; keys never
-///      tie across shards (equivalent keys share a shard by
-///      construction), so this is a strict W-way merge.
-///
-/// Output order is byte-identical to the seed's global
-/// stable_sort + adjacent grouping. Small inputs run single-sharded on
-/// the calling thread — same code path with shardCount = 1.
-///
-/// Shuffle tasks append into shared per-slice bins, so they are NOT
-/// retryable in place (a rerun would double-bin); a substrate failure
-/// here propagates out and run()'s outer ladder rung re-executes the
-/// whole pipeline sequentially. The task-throw fault point therefore
-/// wraps the *task* bodies, never the sequential shardCount == 1 path.
-std::vector<Value> shuffleAndGroup(const std::vector<Value>& pairs,
-                                   size_t width, bool onCaller,
-                                   const CancelTokenPtr& token) {
-  const size_t n = pairs.size();
-  std::vector<Value> out;
-  if (n == 0) return out;
-  const size_t shardCount =
-      (onCaller || n < 256) ? 1 : std::max<size_t>(1, width);
-
-  // --- A: precompute keys, bin indices by shard ---------------------------
-  std::vector<SortKey> keys(n);
-  // binned[slice][shard]: pair indices, ascending within each bin.
-  std::vector<std::vector<std::vector<uint32_t>>> binned(
-      shardCount,
-      std::vector<std::vector<uint32_t>>(shardCount));
-  const size_t per = (n + shardCount - 1) / shardCount;
-  auto keySlice = [&](size_t slice) {
-    const size_t begin = slice * per;
-    const size_t end = std::min(begin + per, n);
-    for (size_t i = begin; i < end; ++i) {
-      keys[i] = makeKey(pairs[i].asList()->item(1), shardCount);
-      binned[slice][keys[i].shard].push_back(uint32_t(i));
+/// Group adjacent equal keys of `sorted` (pair indices in key order) into
+/// [key, [values…]] lists. `firsts`, when given, receives each group's
+/// first pair index.
+std::vector<Value> groupSorted(const std::vector<uint32_t>& sorted,
+                               const std::vector<Value>& pairs,
+                               std::vector<uint32_t>* firsts) {
+  std::vector<Value> groups;
+  for (uint32_t index : sorted) {
+    const Value& key = pairs[index].asList()->item(1);
+    const Value& value = pairs[index].asList()->item(2);
+    if (!groups.empty() && groups.back().asList()->item(1).equals(key)) {
+      groups.back().asList()->item(2).asList()->add(value);
+    } else {
+      auto group = List::make();
+      group->add(key);
+      group->add(Value(List::make({value})));
+      groups.push_back(Value(group));
+      if (firsts) firsts->push_back(index);
     }
-  };
-
-  // --- B: per shard, sort + group -----------------------------------------
-  std::vector<std::vector<Value>> groups(shardCount);
-  std::vector<std::vector<const SortKey*>> heads(shardCount);
-  auto groupShard = [&](size_t shard) {
-    std::vector<uint32_t> indices;
-    for (size_t slice = 0; slice < shardCount; ++slice) {
-      const auto& bin = binned[slice][shard];
-      indices.insert(indices.end(), bin.begin(), bin.end());
-    }
-    // Slices cover ascending contiguous ranges, so `indices` is already
-    // ascending; stable_sort therefore keeps equal keys in original pair
-    // order — the stability the seed's global sort provided.
-    std::stable_sort(indices.begin(), indices.end(),
-                     [&keys](uint32_t a, uint32_t b) {
-                       return keyLess(keys[a], keys[b]);
-                     });
-    for (uint32_t index : indices) {
-      const Value& key = pairs[index].asList()->item(1);
-      const Value& value = pairs[index].asList()->item(2);
-      if (!groups[shard].empty() &&
-          groups[shard].back().asList()->item(1).equals(key)) {
-        groups[shard].back().asList()->item(2).asList()->add(value);
-      } else {
-        auto group = List::make();
-        group->add(key);
-        group->add(Value(List::make({value})));
-        groups[shard].push_back(Value(group));
-        heads[shard].push_back(&keys[index]);
-      }
-    }
-  };
-
-  if (shardCount == 1) {
-    keySlice(0);
-    groupShard(0);
-    return std::move(groups[0]);
   }
-
-  WorkerPool& pool = WorkerPool::shared();
-  {
-    std::vector<TaskGroup::Task> tasks;
-    tasks.reserve(shardCount);
-    for (size_t s = 0; s < shardCount; ++s) {
-      tasks.push_back([&keySlice](size_t slice) {
-        fault::inject(fault::Point::TaskThrow);
-        keySlice(slice);
-      });
-    }
-    auto phase = std::make_shared<TaskGroup>(std::move(tasks), token);
-    pool.submit(phase);
-    phase->wait();
-    phase->rethrowIfError();
-  }
-  {
-    std::vector<TaskGroup::Task> tasks;
-    tasks.reserve(shardCount);
-    for (size_t s = 0; s < shardCount; ++s) {
-      tasks.push_back([&groupShard](size_t shard) {
-        fault::inject(fault::Point::TaskThrow);
-        groupShard(shard);
-      });
-    }
-    auto phase = std::make_shared<TaskGroup>(std::move(tasks), token);
-    pool.submit(phase);
-    phase->wait();
-    phase->rethrowIfError();
-  }
-
-  // --- C: merge the sorted shard group lists ------------------------------
-  size_t total = 0;
-  std::vector<size_t> cursor(shardCount, 0);
-  for (const auto& g : groups) total += g.size();
-  out.reserve(total);
-  while (out.size() < total) {
-    size_t best = shardCount;
-    for (size_t s = 0; s < shardCount; ++s) {
-      if (cursor[s] >= groups[s].size()) continue;
-      if (best == shardCount ||
-          keyLess(*heads[s][cursor[s]], *heads[best][cursor[best]])) {
-        best = s;
-      }
-    }
-    out.push_back(std::move(groups[best][cursor[best]]));
-    ++cursor[best];
-  }
-  return out;
+  return groups;
 }
 
-/// One pipeline pass, either parallel or sequential. Throws on failure
-/// (with the original exception type); run() owns the degradation
-/// decision.
-ListPtr runOnce(const ListPtr& input, const MapFn& mapFn,
-                const ReduceFn& reduceFn, const Options& options,
-                bool sequential, const CancelTokenPtr& token,
-                Stats& local) {
-  const size_t width = options.workers == 0 ? 4 : options.workers;
+/// [key, values] → [key, reduceFn(values)].
+Value reduceGroup(const ReduceFn& reduceFn, const Value& group) {
+  auto out = List::make();
+  out->add(group.asList()->item(1));
+  out->add(reduceFn(group.asList()->item(2).asList()));
+  return Value(out);
+}
 
-  workers::ParallelOptions phaseOptions;
-  phaseOptions.maxWorkers = options.workers;
-  phaseOptions.maxRetries = options.maxRetries;
-  // The pipeline deadline lives in `token`; the phase Parallels must not
-  // degrade internally (this function owns the outer ladder rung).
-  phaseOptions.allowDegrade = false;
-  phaseOptions.cancel = token;
-
-  // --- map phase -------------------------------------------------------------
+/// The sequential reference pipeline, run on the calling thread by
+/// Options::sequential and by the degrade rung: a map loop, one global
+/// stable sort, adjacent grouping and a reduce loop — no TaskGroups and
+/// no fault points. The parallel path shards its sort and this does not,
+/// so tests comparing the two check the sharding independently. Fills
+/// the phase fields of `stats`.
+ListPtr runSequential(blocks::ItemSpan items, const MapFn& mapFn,
+                      const ReduceFn& reduceFn, Stats& stats) {
   std::vector<Value> pairs;
-  if (sequential) {
-    pairs.reserve(input->length());
-    for (const Value& item : input->items()) {
-      pairs.push_back(toPair(item, mapFn(item)));
-    }
-    local.mapMakespan = input->length();
-  } else {
-    workers::Parallel job(input->items(), phaseOptions);
-    job.map([mapFn](const Value& item) { return toPair(item, mapFn(item)); });
-    pairs = job.takeData();  // waits; throws on worker error
-    local.mapMakespan = job.virtualMakespan();
+  std::vector<SortKey> keys;
+  pairs.reserve(items.size());
+  keys.reserve(items.size());
+  for (const Value& item : items) {
+    pairs.push_back(toPair(item, mapFn(item)));
+    keys.push_back(makeKey(pairs.back().asList()->item(1)));
   }
-
-  // --- shuffle: sharded sort-by-key + grouping --------------------------------
-  std::vector<Value> groups =
-      shuffleAndGroup(pairs, width, sequential, token);
-  local.distinctKeys = groups.size();
-
-  // --- reduce phase ---------------------------------------------------------------
-  auto reduceGroup = [reduceFn](const Value& group) {
-    auto out = List::make();
-    out->add(group.asList()->item(1));
-    out->add(reduceFn(group.asList()->item(2).asList()));
-    return Value(out);
-  };
-  std::vector<Value> reduced;
-  if (sequential) {
-    reduced.reserve(groups.size());
-    for (const Value& group : groups) reduced.push_back(reduceGroup(group));
-    local.reduceMakespan = groups.size();
-  } else {
-    workers::Parallel job(groups, phaseOptions);
-    job.map(reduceGroup);
-    reduced = job.takeData();
-    local.reduceMakespan = job.virtualMakespan();
-  }
-
-  return List::make(std::move(reduced));
+  std::vector<uint32_t> order(pairs.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&keys](uint32_t a, uint32_t b) {
+                     return keyLess(keys[a], keys[b]);
+                   });
+  std::vector<Value> out = groupSorted(order, pairs, nullptr);
+  for (Value& group : out) group = reduceGroup(reduceFn, group);
+  stats.mapMakespan = items.size();
+  stats.distinctKeys = out.size();
+  stats.reduceMakespan = out.size();
+  return List::make(std::move(out));
 }
 
 }  // namespace
@@ -305,51 +170,25 @@ ReduceFn identityReduce() {
 
 ListPtr run(const ListPtr& input, const MapFn& mapFn,
             const ReduceFn& reduceFn, const Options& options, Stats* stats) {
-  if (!input) throw Error("mapReduce: null input list");
-  Stats local;
-  local.inputItems = input->length();
-
-  // One token spans the whole pipeline, so map, shuffle and reduce share
-  // a single wall-clock budget instead of each phase getting its own.
-  CancelTokenPtr token;
-  if (options.deadlineSeconds > 0) {
-    token = CancelToken::withDeadline(options.deadlineSeconds,
-                                      options.cancel);
-  } else {
-    token = options.cancel;  // may be null
-  }
-
-  ListPtr out;
   if (options.sequential) {
-    out = runOnce(input, mapFn, reduceFn, options, true, token, local);
-  } else {
-    try {
-      out = runOnce(input, mapFn, reduceFn, options, false, token, local);
-    } catch (...) {
-      std::exception_ptr error = std::current_exception();
-      // Only a *transient* substrate failure earns the sequential rerun.
-      // Timeout/Cancelled must not (a rerun after a blown deadline only
-      // blows it further) and user-script errors are deterministic.
-      if (!options.allowDegrade ||
-          classifyError(error) != ErrorClass::Substrate) {
-        std::rethrow_exception(error);
-      }
-      workers::substrateStats().bump(&workers::SubstrateStats::downgrades);
-      local = Stats{};
-      local.inputItems = input->length();
-      local.degraded = true;
-      out = runOnce(input, mapFn, reduceFn, options, true, token, local);
-    }
+    if (!input) throw Error(kNullInput);
+    Stats local;
+    local.inputItems = input->length();
+    ListPtr out = runSequential(input->items(), mapFn, reduceFn, local);
+    if (stats) *stats = local;
+    return out;
   }
-
-  if (stats) *stats = local;
-  return out;
+  Job job(input, mapFn, reduceFn, options);
+  job.wait();
+  if (job.failed()) std::rethrow_exception(job.error());
+  if (stats) *stats = job.stats();
+  return job.result();
 }
 
 // --- Job: the completion-chained pipeline -----------------------------------
 
 struct Job::Pipeline {
-  ListPtr input;
+  ListPtr input;  // the job's snapshot of the caller's list
   MapFn mapFn;
   ReduceFn reduceFn;
   Options options;
@@ -363,9 +202,10 @@ struct Job::Pipeline {
   // binned[slice][shard]: pair indices, ascending within each bin.
   std::vector<std::vector<std::vector<uint32_t>>> binned;
 
-  // Stage 2 outputs: per shard, sorted [key, reduced] pairs + head keys.
+  // Stage 2 outputs: per shard, sorted [key, reduced] pairs and the pair
+  // index of each one's key (what the merge compares).
   std::vector<std::vector<Value>> reduced;
-  std::vector<std::vector<const SortKey*>> heads;
+  std::vector<std::vector<uint32_t>> heads;
 
   std::shared_ptr<TaskGroup> stage1;
   std::shared_ptr<TaskGroup> stage2;
@@ -374,7 +214,6 @@ struct Job::Pipeline {
 Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
     : pipe_(std::make_unique<Pipeline>()) {
   Pipeline& p = *pipe_;
-  p.input = std::move(input);
   p.mapFn = std::move(mapFn);
   p.reduceFn = std::move(reduceFn);
   p.options = std::move(options);
@@ -386,8 +225,18 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
                ? CancelToken::withDeadline(p.options.deadlineSeconds,
                                            p.options.cancel)
                : CancelToken::create(p.options.cancel);
-  if (!p.input) {
-    settleError(std::make_exception_ptr(Error("mapReduce: null input list")));
+  if (!input) {
+    settleError(std::make_exception_ptr(Error(kNullInput)));
+    return;
+  }
+  try {
+    // Stage 1 reads the input on pool workers after this constructor
+    // returns, so the job works on a COW snapshot anchored here — the
+    // transfer Parallel::cloneIn makes, O(1) for a flat list. The owner's
+    // later writes detach at the COW gate and never reach the job.
+    p.input = input->snapshotClone();
+  } catch (...) {
+    settleError(std::current_exception());  // PurityError: rings, cycles
     return;
   }
   p.n = p.input->length();
@@ -398,8 +247,8 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
     return;
   }
   const size_t width = p.options.workers == 0 ? 4 : p.options.workers;
-  // Same small-input threshold as shuffleAndGroup: a single shard keeps
-  // the chain's overhead off short lists without changing the output.
+  // Small inputs take a single shard: the chain's overhead stays off
+  // short lists without changing the output.
   p.shardCount = p.n < 256 ? 1 : std::max<size_t>(1, width);
   p.pairs.resize(p.n);
   p.keys.resize(p.n);
@@ -413,6 +262,8 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
 // Every path out of the chain settles the latch exactly once, as its last
 // touch of the Job; ~Job's latch wait is therefore a full join.
 Job::~Job() { latch_.wait(); }
+
+void Job::wait() { latch_.wait(); }
 
 void Job::onComplete(workers::CompletionLatch::Callback cb) {
   latch_.onSettle(std::move(cb));
@@ -429,52 +280,37 @@ void Job::startStage1() {
   for (size_t s = 0; s < p.shardCount; ++s) {
     tasks.push_back([this, per](size_t slice) {
       Pipeline& p = *pipe_;
-      const size_t begin = slice * per;
+      const blocks::ItemSpan items = p.input->items();
+      const size_t begin = std::min(slice * per, p.n);
       const size_t end = std::min(begin + per, p.n);
-      // Retry rung: a transient substrate fault restarts the slice from
-      // scratch (mapFn is pure, pairs/keys slots are overwritten, and the
-      // bins below are owned by this slice alone — clearing them makes
-      // the restart exact). Only after retries are exhausted does the
-      // throw fail the group and reach the degrade rung.
-      int attempt = 0;
-      while (true) {
-        try {
-          for (auto& bin : p.binned[slice]) bin.clear();
-          // Native chunk path: map the whole slice through the compiled
-          // kernel on a scratch copy (the pairs are keyed by the ORIGINAL
-          // items, which p.input still holds). A false return — kernel
-          // not installed, unmarshalable element, element error — falls
-          // through to the per-item loop with nothing written.
-          std::vector<Value> mapped;
-          bool batched = false;
-          if (p.options.mapBatch && end > begin) {
-            mapped.reserve(end - begin);
-            for (size_t i = begin; i < end; ++i) {
-              mapped.push_back(p.input->item(i + 1));
-            }
-            batched = p.options.mapBatch(mapped.data(), mapped.size());
-          }
-          for (size_t i = begin; i < end; ++i) {
-            if (!batched) fault::inject(fault::Point::TaskThrow);
-            if ((i - begin) % 512 == 511) token_->checkpoint();
-            const Value& item = p.input->item(i + 1);
-            p.pairs[i] = toPair(item, batched ? mapped[i - begin]
-                                              : p.mapFn(item));
-            p.keys[i] = makeKey(p.pairs[i].asList()->item(1), p.shardCount);
-            p.binned[slice][p.keys[i].shard].push_back(uint32_t(i));
-          }
-          return;
-        } catch (...) {
-          std::exception_ptr error = std::current_exception();
-          if (!isRetryableClass(classifyError(error)) ||
-              attempt >= p.options.maxRetries) {
-            std::rethrow_exception(error);
-          }
-          ++attempt;
-          p.stats->bump(&workers::SubstrateStats::retries);
-          stageRetryBackoff(attempt);
+      // A retry restarts the slice from scratch: mapFn is pure, the
+      // pairs/keys slots are overwritten, and the bins below are owned
+      // by this slice alone, so clearing them makes the restart exact.
+      workers::runWithRetries(p.options.maxRetries, *p.stats, [&] {
+        for (auto& bin : p.binned[slice]) bin.clear();
+        // Native chunk path: map the whole slice through the compiled
+        // kernel on a scratch copy (the pairs are keyed by the ORIGINAL
+        // items). A false return — kernel not installed, unmarshalable
+        // element, element error — falls through to the per-item loop
+        // with nothing written.
+        std::vector<Value> mapped;
+        bool batched = false;
+        if (p.options.mapBatch && end > begin) {
+          mapped.assign(items.begin() + begin, items.begin() + end);
+          batched = p.options.mapBatch(mapped.data(), mapped.size());
         }
-      }
+        for (size_t i = begin; i < end; ++i) {
+          if (!batched) fault::inject(fault::Point::TaskThrow);
+          if ((i - begin) % workers::kPollItems == workers::kPollItems - 1) {
+            token_->checkpoint();
+          }
+          p.pairs[i] = toPair(items[i], batched ? mapped[i - begin]
+                                                : p.mapFn(items[i]));
+          p.keys[i] = makeKey(p.pairs[i].asList()->item(1));
+          p.binned[slice][shardOf(p.keys[i], p.shardCount)].push_back(
+              uint32_t(i));
+        }
+      });
     });
   }
   p.stage1 = std::make_shared<TaskGroup>(std::move(tasks), token_);
@@ -482,16 +318,7 @@ void Job::startStage1() {
 }
 
 void Job::stage1Done() {
-  Pipeline& p = *pipe_;
-  std::exception_ptr error = p.stage1->error();
-  if (!error && token_->cancelled()) {
-    try {
-      token_->checkpoint();
-    } catch (...) {
-      error = std::current_exception();
-    }
-  }
-  if (error) {
+  if (std::exception_ptr error = stageError(*pipe_->stage1)) {
     failOrDegrade(error);
     return;
   }
@@ -505,68 +332,35 @@ void Job::startStage2() {
   for (size_t s = 0; s < p.shardCount; ++s) {
     tasks.push_back([this](size_t shard) {
       Pipeline& p = *pipe_;
-      // Retry rung, mirroring stage 1: everything below is task-local
-      // until the final moves into p.reduced/p.heads, so a transient
-      // substrate fault restarts the shard exactly.
-      int attempt = 0;
-      while (true) {
-        try {
-          fault::inject(fault::Point::TaskThrow);
-          std::vector<uint32_t> indices;
-          for (size_t slice = 0; slice < p.shardCount; ++slice) {
-            const auto& bin = p.binned[slice][shard];
-            indices.insert(indices.end(), bin.begin(), bin.end());
-          }
-          // Slices cover ascending contiguous ranges, so `indices` is
-          // already ascending; stable_sort keeps equal keys in original
-          // pair order — the stability a global sort would provide.
-          std::stable_sort(indices.begin(), indices.end(),
-                           [&p](uint32_t a, uint32_t b) {
-                             return keyLess(p.keys[a], p.keys[b]);
-                           });
-          std::vector<Value> groups;
-          std::vector<const SortKey*> heads;
-          for (uint32_t index : indices) {
-            const Value& key = p.pairs[index].asList()->item(1);
-            const Value& value = p.pairs[index].asList()->item(2);
-            if (!groups.empty() &&
-                groups.back().asList()->item(1).equals(key)) {
-              groups.back().asList()->item(2).asList()->add(value);
-            } else {
-              auto group = List::make();
-              group->add(key);
-              group->add(Value(List::make({value})));
-              groups.push_back(Value(group));
-              heads.push_back(&p.keys[index]);
-            }
-          }
-          // Reduce each closed group in place — per-group reduction is
-          // independent of how groups were formed, so fusing it here
-          // leaves the output bytes unchanged.
-          std::vector<Value> reduced;
-          reduced.reserve(groups.size());
-          for (size_t g = 0; g < groups.size(); ++g) {
-            fault::inject(fault::Point::TaskThrow);
-            if (g % 256 == 255) token_->checkpoint();
-            auto out = List::make();
-            out->add(groups[g].asList()->item(1));
-            out->add(p.reduceFn(groups[g].asList()->item(2).asList()));
-            reduced.push_back(Value(out));
-          }
-          p.reduced[shard] = std::move(reduced);
-          p.heads[shard] = std::move(heads);
-          return;
-        } catch (...) {
-          std::exception_ptr error = std::current_exception();
-          if (!isRetryableClass(classifyError(error)) ||
-              attempt >= p.options.maxRetries) {
-            std::rethrow_exception(error);
-          }
-          ++attempt;
-          p.stats->bump(&workers::SubstrateStats::retries);
-          stageRetryBackoff(attempt);
+      // Everything below is task-local until the final moves into
+      // p.reduced/p.heads, so a retry restarts the shard exactly.
+      workers::runWithRetries(p.options.maxRetries, *p.stats, [&] {
+        fault::inject(fault::Point::TaskThrow);
+        std::vector<uint32_t> indices;
+        for (size_t slice = 0; slice < p.shardCount; ++slice) {
+          const auto& bin = p.binned[slice][shard];
+          indices.insert(indices.end(), bin.begin(), bin.end());
         }
-      }
+        // Slices cover ascending contiguous ranges, so `indices` is
+        // already ascending; stable_sort keeps equal keys in original
+        // pair order — the stability a global sort would provide.
+        std::stable_sort(indices.begin(), indices.end(),
+                         [&p](uint32_t a, uint32_t b) {
+                           return keyLess(p.keys[a], p.keys[b]);
+                         });
+        std::vector<uint32_t> heads;
+        std::vector<Value> groups = groupSorted(indices, p.pairs, &heads);
+        // Reduce each closed group in place — per-group reduction is
+        // independent of how groups were formed, so fusing it here
+        // leaves the output bytes unchanged.
+        for (size_t g = 0; g < groups.size(); ++g) {
+          fault::inject(fault::Point::TaskThrow);
+          if (g % 256 == 255) token_->checkpoint();
+          groups[g] = reduceGroup(p.reduceFn, groups[g]);
+        }
+        p.reduced[shard] = std::move(groups);
+        p.heads[shard] = std::move(heads);
+      });
     });
   }
   p.stage2 = std::make_shared<TaskGroup>(std::move(tasks), token_);
@@ -575,15 +369,7 @@ void Job::startStage2() {
 
 void Job::stage2Done() {
   Pipeline& p = *pipe_;
-  std::exception_ptr error = p.stage2->error();
-  if (!error && token_->cancelled()) {
-    try {
-      token_->checkpoint();
-    } catch (...) {
-      error = std::current_exception();
-    }
-  }
-  if (error) {
+  if (std::exception_ptr error = stageError(*p.stage2)) {
     failOrDegrade(error);
     return;
   }
@@ -600,12 +386,14 @@ void Job::stage2Done() {
   std::vector<Value> out;
   out.reserve(total);
   std::vector<size_t> cursor(p.shardCount, 0);
+  auto headKey = [&p, &cursor](size_t s) -> const SortKey& {
+    return p.keys[p.heads[s][cursor[s]]];
+  };
   while (out.size() < total) {
     size_t best = p.shardCount;
     for (size_t s = 0; s < p.shardCount; ++s) {
       if (cursor[s] >= p.reduced[s].size()) continue;
-      if (best == p.shardCount ||
-          keyLess(*p.heads[s][cursor[s]], *p.heads[best][cursor[best]])) {
+      if (best == p.shardCount || keyLess(headKey(s), headKey(best))) {
         best = s;
       }
     }
@@ -614,6 +402,25 @@ void Job::stage2Done() {
   }
   result_ = List::make(std::move(out));
   settleOk();
+}
+
+std::exception_ptr Job::stageError(const TaskGroup& stage) {
+  std::exception_ptr error = stage.error();
+  if (!error && token_->cancelled()) {
+    try {
+      token_->checkpoint();
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }
+  return error;
+}
+
+void Job::markDegraded() {
+  if (!stats_.degraded) {
+    stats_.degraded = true;
+    pipe_->stats->bump(&workers::SubstrateStats::downgrades);
+  }
 }
 
 void Job::submitStage(const std::shared_ptr<TaskGroup>& stage,
@@ -630,9 +437,7 @@ void Job::submitStage(const std::shared_ptr<TaskGroup>& stage,
       settleError(std::current_exception());
       return;
     }
-    if (!degraded_.exchange(true, std::memory_order_acq_rel)) {
-      pipe_->stats->bump(&workers::SubstrateStats::downgrades);
-    }
+    markDegraded();
     stage->onComplete(std::move(continuation));
     while (stage->runOne()) {
     }
@@ -654,20 +459,13 @@ void Job::failOrDegrade(std::exception_ptr error) {
     settleError(error);
     return;
   }
-  // Rerun sequentially on whichever thread observed the failure, under
-  // the *same* token — the deadline does not restart. The rerun's
-  // retries/downgrades belong to the constructing tenant.
+  // Rerun the sequential reference on whichever thread observed the
+  // failure; whatever the mapper and reducer count belongs to the
+  // constructing tenant.
   workers::StatsScope scope(*p.stats);
-  if (!degraded_.exchange(true, std::memory_order_acq_rel)) {
-    p.stats->bump(&workers::SubstrateStats::downgrades);
-  }
-  Stats local;
-  local.inputItems = p.n;
-  local.degraded = true;
+  markDegraded();
   try {
-    result_ = runOnce(p.input, p.mapFn, p.reduceFn, p.options, true, token_,
-                      local);
-    stats_ = local;
+    result_ = runSequential(p.input->items(), p.mapFn, p.reduceFn, stats_);
     settleOk();
   } catch (...) {
     settleError(std::current_exception());

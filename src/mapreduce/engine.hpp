@@ -16,15 +16,19 @@
 //   * The output is the sorted list of [key, reduced] pairs — exactly the
 //     word-count readout of paper Fig. 12.
 //
-// Fault model: the pipeline owns its input, so it sits on the outermost
-// rung of the degradation ladder (parallel.hpp) — when the parallel path
-// dies with a *transient* substrate error (retries exhausted, shuffle
-// task lost), run() re-executes the whole pipeline sequentially and
-// reports Stats::degraded. Deadline expiry and cancellation do NOT
-// degrade (a sequential rerun after a blown deadline would only blow it
-// further); they surface as TimeoutError / CancelledError. User-script
-// errors from the map/reduce functions are deterministic and always
-// propagate with their original type.
+// There is one parallel implementation, Job; run() is a Job plus a wait,
+// and Options::sequential runs a short sequential reference instead.
+//
+// Fault model: the pipeline owns its input (a snapshot taken at launch),
+// so it sits on the outermost rung of the degradation ladder
+// (parallel.hpp) — a stage task retries transient substrate errors in
+// place, and when one survives its retries the job re-executes the whole
+// pipeline through the sequential reference and reports Stats::degraded.
+// Deadline expiry and cancellation do NOT degrade (a sequential rerun
+// after a blown deadline would only blow it further); they surface as
+// TimeoutError / CancelledError. User-script errors from the map/reduce
+// functions are deterministic and always propagate with their original
+// type.
 //
 // "Although conceptually simple, MapReduce implementations can be quite
 // complex to set up and use. Fortunately, these details are hidden in the
@@ -52,13 +56,14 @@ using MapFn = std::function<blocks::Value(const blocks::Value&)>;
 using ReduceFn = std::function<blocks::Value(const blocks::ListPtr&)>;
 
 struct Options {
-  /// Worker width for both phases; 0 uses the Parallel default (4).
+  /// Worker width (map slices and shuffle shards); 0 uses 4, the
+  /// Parallel default.
   size_t workers = 0;
-  /// Run phases sequentially on the caller thread (for the sequential
-  /// baseline rows of the benches).
+  /// run() only: run the sequential reference on the caller thread (the
+  /// sequential baseline rows of the benches, the tests' oracle).
   bool sequential = false;
-  /// Per-chunk retries inside the phase Parallels (substrate errors
-  /// only; see ParallelOptions::maxRetries).
+  /// Retries per stage task (substrate errors only; see
+  /// ParallelOptions::maxRetries).
   int maxRetries = 2;
   /// Wall-clock budget for the whole pipeline (map + shuffle + reduce);
   /// 0 means none. Expiry fails the run with TimeoutError.
@@ -80,12 +85,17 @@ struct Stats {
   size_t distinctKeys = 0;
   uint64_t mapMakespan = 0;     ///< virtual: max items mapped by one worker
   uint64_t reduceMakespan = 0;  ///< virtual: max groups reduced by one worker
-  /// True when the run completed through the sequential fallback.
+  /// True when the run completed through a sequential fallback: the
+  /// inline drain of a stage the pool refused, or the sequential rerun
+  /// after a transient failure.
   bool degraded = false;
 };
 
-/// Run a complete MapReduce synchronously. Returns the sorted list of
-/// [key, value] pairs. `stats`, when non-null, receives phase accounting.
+/// Run a complete MapReduce synchronously: a Job waited on, or the
+/// sequential reference when options.sequential is set. Returns the
+/// sorted list of [key, value] pairs and rethrows a failure with its
+/// original type. `stats`, when non-null, receives phase accounting.
+/// Like Job::wait(), never call it from a pool task.
 blocks::ListPtr run(const blocks::ListPtr& input, const MapFn& mapFn,
                     const ReduceFn& reduceFn, const Options& options = {},
                     Stats* stats = nullptr);
@@ -109,18 +119,23 @@ ReduceFn identityReduce();
 /// Each stage is launched by its predecessor's completion callback — no
 /// thread ever sits in a wait() between phases, and no pool worker is
 /// pinned for the pipeline's duration. The output is byte-identical to
-/// run()'s (the ordering argument is in DESIGN.md): per-shard grouping
-/// emits the order of a global stable sort because equivalent keys always
-/// share a shard, and the per-group reduce is independent of grouping.
+/// the sequential reference's (the ordering argument is in DESIGN.md):
+/// per-shard grouping emits the order of a global stable sort because
+/// equivalent keys always share a shard, and the per-group reduce is
+/// independent of grouping.
+///
+/// The job works on a COW snapshot of `input` taken in the constructor
+/// (O(1) for a flat list), so the caller may go on writing its list; a
+/// list holding rings or cycles settles the job with PurityError.
 ///
 /// The block primitive registers onComplete() and parks; the callback
 /// fires exactly once, from the worker that settles the pipeline (or
-/// immediately on the registering thread if already settled). resolved()
-/// stays for tests and assertions. Degradation: a transient substrate
-/// failure (or a refused stage submit with allowDegrade) reruns the
-/// pipeline sequentially on the thread that observed the failure, under
-/// the same deadline; with degradation forbidden, failures settle the job
-/// typed — constructors do not throw.
+/// immediately on the registering thread if already settled). run()
+/// blocks in wait(); resolved() stays for assertions. Degradation: a
+/// refused stage submit with allowDegrade drains the stage inline, and a
+/// transient substrate failure reruns the sequential reference on the
+/// thread that observed it; with degradation forbidden, failures settle
+/// the job typed — constructors do not throw.
 class Job {
  public:
   Job(blocks::ListPtr input, MapFn mapFn, ReduceFn reduceFn,
@@ -134,12 +149,16 @@ class Job {
   /// that settles the pipeline, or immediately if already settled.
   void onComplete(workers::CompletionLatch::Callback cb);
 
+  /// Block until settled. Does not drain stage tasks, so it must not be
+  /// called from a pool task.
+  void wait();
+
   /// Cancel the pipeline: stage tasks not yet claimed are skipped and the
   /// job settles with CancelledError (unless it already completed).
   void cancel(const std::string& reason = "mapReduce pipeline cancelled");
 
-  /// Kept for tests and assertions; scheduler integration registers
-  /// onComplete() instead of polling this per frame.
+  /// Kept for assertions; scheduler integration registers onComplete()
+  /// and synchronous callers wait() instead of polling this.
   bool resolved() const { return done_.load(std::memory_order_acquire); }
   bool failed() const { return failed_.load(std::memory_order_acquire); }
   const std::string& errorMessage() const { return error_; }
@@ -147,13 +166,10 @@ class Job {
   ErrorClass errorClass() const { return errorClass_; }
   /// The original exception (null while clean). Meaningful once resolved.
   const std::exception_ptr& error() const { return errorPtr_; }
-  /// Did the pipeline complete through a sequential fallback (either the
-  /// inline launch degrade or run()'s internal rerun)?
-  bool wasDegraded() const {
-    return degraded_.load(std::memory_order_acquire);
-  }
   /// Valid once resolved and not failed.
   const blocks::ListPtr& result() const { return result_; }
+  /// Valid once resolved; stats().degraded says whether a sequential
+  /// fallback ran.
   const Stats& stats() const { return stats_; }
 
  private:
@@ -166,12 +182,17 @@ class Job {
   void startStage2();
   void stage1Done();
   void stage2Done();
+  /// A finished stage's first task error, else the token's cancellation
+  /// or timeout, else null.
+  std::exception_ptr stageError(const workers::TaskGroup& stage);
+  /// Set stats_.degraded, counting the downgrade once per job.
+  void markDegraded();
   /// Submit a stage; on pool refusal either drain it inline on this
   /// thread (allowDegrade) or settle the job with the SubstrateError.
   void submitStage(const std::shared_ptr<workers::TaskGroup>& stage,
                    workers::CompletionLatch::Callback continuation);
-  /// Sequential rerun (same token, so the deadline does not restart) for
-  /// a transient substrate failure; otherwise settle the error typed.
+  /// Sequential reference rerun for a transient substrate failure;
+  /// otherwise settle the error typed.
   void failOrDegrade(std::exception_ptr error);
   void settleOk();
   void settleError(std::exception_ptr error);
@@ -181,7 +202,6 @@ class Job {
   CancelTokenPtr token_;  // always non-null: the job's cancel() handle
   std::atomic<bool> done_{false};
   std::atomic<bool> failed_{false};
-  std::atomic<bool> degraded_{false};
   std::string error_;
   ErrorClass errorClass_ = ErrorClass::None;
   std::exception_ptr errorPtr_;

@@ -16,16 +16,13 @@ using blocks::Value;
 
 namespace {
 constexpr size_t kDefaultWorkers = 4;  // the paper's Web Worker default
+}  // namespace
 
-/// Bounded deterministic backoff before a chunk retry: 100us, 200us,
-/// 400us, … capped at ~2ms. Fixed durations (no jitter) keep chaos runs
-/// reproducible; the cap keeps a doomed chunk from stalling its group.
 void retryBackoff(int attempt) {
   const int64_t micros =
       std::min<int64_t>(int64_t{100} << std::min(attempt - 1, 8), 2000);
   std::this_thread::sleep_for(std::chrono::microseconds(micros));
 }
-}  // namespace
 
 Parallel::Parallel(blocks::ItemSpan data, ParallelOptions options)
     : workers_(options.maxWorkers == 0 ? kDefaultWorkers
@@ -114,38 +111,25 @@ void Parallel::mapRange(const MapFn& fn, size_t begin, size_t end,
   // TypeError from the user's ring is deterministic and rethrows
   // immediately with its original type.
   size_t i = begin;
-  int attempt = 0;
-  while (true) {
-    try {
-      fault::inject(fault::Point::TaskThrow);
-      // Native chunk path: tried once, on a still-pristine range (batch_
-      // writes all-or-nothing, so a false return or a later retry always
-      // finds the original inputs). A true return means every element of
-      // the range is already mapped.
-      if (i == begin && batch_ && batch_(data_.data() + begin, end - begin)) {
-        i = end;
-      }
-      // A trip mid-range stops here with [i, end) unmapped; only the
-      // items actually mapped are counted, so wait() sees the shortfall
-      // and fails the operation.
-      while (i < end) {
-        const size_t stop = std::min(end, i + kPollItems);
-        for (; i < stop; ++i) data_[i] = fn(data_[i]);
-        if (i < end && !keepGoing()) break;
-      }
-      perWorker_[w].items.fetch_add(i - begin, std::memory_order_relaxed);
-      return;
-    } catch (...) {
-      std::exception_ptr error = std::current_exception();
-      if (!isRetryableClass(classifyError(error)) ||
-          attempt >= options_.maxRetries) {
-        std::rethrow_exception(error);
-      }
-      ++attempt;
-      stats_->bump(&SubstrateStats::retries);
-      retryBackoff(attempt);
+  runWithRetries(options_.maxRetries, *stats_, [&] {
+    fault::inject(fault::Point::TaskThrow);
+    // Native chunk path: tried once, on a still-pristine range (batch_
+    // writes all-or-nothing, so a false return or a later retry always
+    // finds the original inputs). A true return means every element of
+    // the range is already mapped.
+    if (i == begin && batch_ && batch_(data_.data() + begin, end - begin)) {
+      i = end;
     }
-  }
+    // A trip mid-range stops here with [i, end) unmapped; only the items
+    // actually mapped are counted, so wait() sees the shortfall and fails
+    // the operation.
+    while (i < end) {
+      const size_t stop = std::min(end, i + kPollItems);
+      for (; i < stop; ++i) data_[i] = fn(data_[i]);
+      if (i < end && !keepGoing()) break;
+    }
+  });
+  perWorker_[w].items.fetch_add(i - begin, std::memory_order_relaxed);
 }
 
 void Parallel::claimLaunch() {
@@ -247,54 +231,6 @@ void Parallel::map(MapFn fn, MapBatchFn batch) {
   }
 }
 
-void Parallel::reduce(ReduceFn fn) {
-  claimLaunch();
-  isReduce_ = true;
-  combiner_ = fn;
-  const size_t n = data_.size();
-  inputSize_ = n;
-  partials_.assign(workers_, Value());
-  const size_t per = (n + workers_ - 1) / workers_;
-  const size_t taskCount = per == 0 ? 0 : (n + per - 1) / per;
-  launch(
-      [this, fn, n, per](size_t w) {
-        size_t begin = w * per;
-        size_t end = std::min(begin + per, n);
-        if (begin >= end || !keepGoing()) return;
-        // Same exact-resume retry structure as mapRange: a throw from fn
-        // leaves acc at the last good fold, so the retry resumes at i.
-        Value acc;
-        size_t i = begin;
-        bool started = false;
-        int attempt = 0;
-        while (true) {
-          try {
-            fault::inject(fault::Point::TaskThrow);
-            if (!started) {
-              acc = data_[begin];
-              i = begin + 1;
-              started = true;
-            }
-            for (; i < end; ++i) acc = fn(acc, data_[i]);
-            break;
-          } catch (...) {
-            std::exception_ptr error = std::current_exception();
-            if (!isRetryableClass(classifyError(error)) ||
-                attempt >= options_.maxRetries) {
-              std::rethrow_exception(error);
-            }
-            ++attempt;
-            stats_->bump(&SubstrateStats::retries);
-            retryBackoff(attempt);
-          }
-        }
-        perWorker_[w].items.fetch_add(end - begin,
-                                      std::memory_order_relaxed);
-        partials_[w] = std::move(acc);
-      },
-      taskCount);
-}
-
 bool Parallel::resolved() const {
   return launched_.load() && group_ && group_->done();
 }
@@ -344,24 +280,6 @@ void Parallel::wait() {
       recordError(std::current_exception());
     }
   }
-  if (isReduce_ && !failedFlag_.load()) foldReducePartials();
-}
-
-void Parallel::foldReducePartials() {
-  // Combine the per-worker partials in worker order.
-  Value acc;
-  bool first = true;
-  for (Value& partial : partials_) {
-    if (partial.isNothing()) continue;  // worker had an empty range
-    if (first) {
-      acc = std::move(partial);
-      first = false;
-    } else {
-      acc = combiner_(acc, partial);
-    }
-  }
-  data_.clear();
-  if (!first) data_.push_back(std::move(acc));
 }
 
 bool Parallel::failed() const { return failedFlag_.load(); }

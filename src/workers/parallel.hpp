@@ -38,12 +38,13 @@
 //
 // Fault model (the degradation ladder, outermost rung last):
 //   1. *retry*: a chunk that dies with a SubstrateError is retried in
-//      place up to maxRetries times with bounded deterministic backoff.
-//      Safe because map/reduce functions are pure by construction (the
-//      core module only compiles pure rings to MapFn) and the chunk loops
-//      write each element exactly once — a throw from fn leaves the
-//      element unwritten, so resuming at the failed index re-applies fn
-//      to original input, never to an already-mapped value;
+//      place up to maxRetries times with bounded deterministic backoff
+//      (runWithRetries, shared with mr::Job's stage tasks). Safe because
+//      map functions are pure by construction (the core module only
+//      compiles pure rings to MapFn) and the chunk loops write each
+//      element exactly once — a throw from fn leaves the element
+//      unwritten, so resuming at the failed index re-applies fn to
+//      original input, never to an already-mapped value;
 //   2. *fail-fast*: the first unretryable failure cancels the group —
 //      unstarted sibling chunks are skipped, not drained;
 //   3. *degrade*: if the pool cannot accept the launch (stopped, or the
@@ -51,8 +52,8 @@
 //      synchronously on the caller instead — the op completes on the
 //      sequential rung and records the downgrade. A substrate error that
 //      survives retries fails the op with errorClass() == Substrate; the
-//      call sites that still own the original input (the parallelMap
-//      handler, mr::run) read that tag and re-run their sequential path
+//      call site that still owns the original input (the parallelMap
+//      handler) reads that tag and re-runs its sequential path
 //      (the C++ realisation of collapsing the paper's "in parallel"
 //      slot). Keeping the rerun at the owner avoids a pristine snapshot
 //      of the input on every launch. User-script errors (TypeError, …)
@@ -88,9 +89,6 @@ namespace psnap::workers {
 /// touch interpreter state (the core module compiles *pure* rings to this
 /// type, mirroring Listing 2's mappedCode()-to-Function step).
 using MapFn = std::function<blocks::Value(const blocks::Value&)>;
-/// A binary combiner for reduce.
-using ReduceFn =
-    std::function<blocks::Value(const blocks::Value&, const blocks::Value&)>;
 /// An optional chunk-at-a-time fast path for map (the native tier's
 /// compiled kernels): transform `count` values in place and return true,
 /// or return false WITHOUT writing anything — the caller then applies the
@@ -123,6 +121,35 @@ inline constexpr size_t kPollItems = 512;
 constexpr size_t adaptiveGrain(size_t remaining, size_t workers) {
   const size_t split = 2 * std::max<size_t>(workers, 1);
   return std::clamp<size_t>((remaining + split - 1) / split, 1, kMaxGrain);
+}
+
+/// Bounded deterministic backoff before retry number `attempt` (from 1):
+/// 100us, 200us, 400us, … capped at 2ms. Fixed durations (no jitter) keep
+/// chaos runs reproducible; the cap keeps a doomed task from stalling its
+/// group.
+void retryBackoff(int attempt);
+
+/// The retry rung, shared by Parallel's chunks and mr::Job's stage tasks:
+/// run `body`; when it throws a retryable (substrate-class) error, count
+/// a retry in `stats`, back off and run it again, at most `maxRetries`
+/// times. Any other error, and the last retryable one, propagates with
+/// its original type. `body` must leave its outputs exact when re-run
+/// after a throw.
+template <class Body>
+void runWithRetries(int maxRetries, SubstrateStats& stats, Body&& body) {
+  for (int attempt = 1;; ++attempt) {
+    try {
+      body();
+      return;
+    } catch (...) {
+      if (attempt > maxRetries ||
+          !isRetryableClass(classifyError(std::current_exception()))) {
+        throw;
+      }
+      stats.bump(&SubstrateStats::retries);
+    }
+    retryBackoff(attempt);
+  }
 }
 
 struct ParallelOptions {
@@ -175,11 +202,6 @@ class Parallel {
   /// loop (see MapBatchFn).
   void map(MapFn fn, MapBatchFn batch = {});
 
-  /// Launch an asynchronous parallel reduce: workers fold contiguous
-  /// chunks, the caller's wait() combines the partials in order. `fn`
-  /// must be associative for the result to be deterministic.
-  void reduce(ReduceFn fn);
-
   /// Has the running operation finished? (Listing 2's `_resolved`.)
   /// Kept for tests and assertions; scheduler integration registers
   /// onComplete() instead of polling this per frame.
@@ -188,7 +210,7 @@ class Parallel {
   /// Register a completion callback: fires exactly once, from the worker
   /// that finishes the operation (or immediately if already resolved, or
   /// on the caller when the launch degrades to an inline drain).
-  /// Callbacks registered before map()/reduce() are attached at launch.
+  /// Callbacks registered before map() are attached at launch.
   void onComplete(std::function<void()> cb);
 
   /// Block until resolved (draining unclaimed chunk tasks on this
@@ -208,14 +230,14 @@ class Parallel {
   /// Did the operation complete through the sequential fallback?
   bool wasDegraded() const { return degraded_.load(); }
 
-  /// Result data. map: element-wise results. reduce: a single element.
-  /// Calls wait() internally. Rethrows the worker's error with its
-  /// original exception type if the operation failed.
+  /// The element-wise results. Calls wait() internally. Rethrows the
+  /// worker's error with its original exception type if the operation
+  /// failed.
   const std::vector<blocks::Value>& data();
 
-  /// Move the result out instead of copying (the MapReduce engine's
-  /// phases hand multi-thousand-element vectors between stages). Same
-  /// wait/throw behaviour as data(); the Parallel is spent afterwards.
+  /// Move the result out instead of copying (a launched parallelMap hands
+  /// its whole vector to the future). Same wait/throw behaviour as
+  /// data(); the Parallel is spent afterwards.
   std::vector<blocks::Value> takeData();
 
   /// Items processed by each logical worker during the last operation.
@@ -235,7 +257,7 @@ class Parallel {
 
   void cloneIn(blocks::ItemSpan source);
   /// Mark the one operation as launched, or throw if one already is —
-  /// before map()/reduce() write anything the running chunk tasks read.
+  /// before map() writes anything the running chunk tasks read.
   void claimLaunch();
   /// Submit `taskCount` chunk tasks running `body(logicalWorker)`.
   void launch(std::function<void(size_t)> body, size_t taskCount);
@@ -255,7 +277,6 @@ class Parallel {
   bool keepGoing() const;
   /// Total items processed across all logical workers.
   uint64_t processedItems() const;
-  void foldReducePartials();
 
   std::vector<blocks::Value> data_;
   size_t workers_;
@@ -276,12 +297,9 @@ class Parallel {
   // onComplete registrations made before launch; attached to the group
   // (under errorMutex_) the moment it exists.
   std::vector<std::function<void()>> pendingCallbacks_;
-  std::vector<blocks::Value> partials_;  // reduce intermediates
-  ReduceFn combiner_;                    // for the final sequential fold
-  MapBatchFn batch_;                     // optional native chunk path
+  MapBatchFn batch_;  // optional native chunk path
   std::string cancelReason_ = "parallel operation cancelled";
   size_t inputSize_ = 0;
-  bool isReduce_ = false;
   bool joined_ = false;
 };
 

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
 
+#include "blocks/block.hpp"
 #include "support/error.hpp"
 
 namespace psnap::mr {
@@ -163,13 +166,37 @@ TEST(MapReduce, ExpiredDeadlineSurfacesTimeout) {
 TEST(MapReduceJob, ErrorCarriesClassAndExceptionType) {
   MapFn bad = [](const Value&) -> Value { throw TypeError("bad item"); };
   Job job(words({"x"}), bad, countValues(), {});
-  while (!job.resolved()) {
-    std::this_thread::yield();
-  }
+  job.wait();
   ASSERT_TRUE(job.failed());
   EXPECT_EQ(job.errorClass(), ErrorClass::Type);
   ASSERT_TRUE(job.error());
   EXPECT_THROW(std::rethrow_exception(job.error()), TypeError);
+}
+
+TEST(MapReduce, RunMapsThroughTheBatchPath) {
+  auto input = List::make();
+  for (int i = 0; i < 1000; ++i) input->add(Value(i % 9));
+  std::atomic<size_t> batchCalls{0};
+  std::atomic<size_t> batchItems{0};
+  Options options;
+  options.workers = 4;
+  options.mapBatch = [&](Value* values, size_t count) {
+    batchCalls.fetch_add(1);
+    batchItems.fetch_add(count);
+    for (size_t i = 0; i < count; ++i) values[i] = Value(1);
+    return true;
+  };
+  MapFn unused = [](const Value&) -> Value {
+    throw Error("the batch path should have mapped every item");
+  };
+  Stats stats;
+  auto out = run(input, unused, countValues(), options, &stats);
+  EXPECT_GE(batchCalls.load(), 1u);
+  EXPECT_EQ(batchItems.load(), 1000u);
+  EXPECT_FALSE(stats.degraded);
+  auto reference =
+      run(input, constOne(), countValues(), {.sequential = true});
+  EXPECT_TRUE(out->deepEquals(*reference));
 }
 
 TEST(MapReduce, NullInputThrows) {
@@ -180,9 +207,7 @@ TEST(MapReduceJob, AsyncCompletion) {
   auto input = List::make();
   for (int i = 0; i < 2000; ++i) input->add(Value(i % 7));
   Job job(input, constOne(), countValues(), {.workers = 4});
-  while (!job.resolved()) {
-    std::this_thread::yield();
-  }
+  job.wait();
   ASSERT_FALSE(job.failed()) << job.errorMessage();
   EXPECT_EQ(job.result()->length(), 7u);
   EXPECT_EQ(job.stats().inputItems, 2000u);
@@ -191,11 +216,46 @@ TEST(MapReduceJob, AsyncCompletion) {
 TEST(MapReduceJob, AsyncErrorCapture) {
   MapFn bad = [](const Value&) -> Value { throw Error("nope"); };
   Job job(words({"x"}), bad, countValues(), {});
-  while (!job.resolved()) {
-    std::this_thread::yield();
-  }
+  job.wait();
   EXPECT_TRUE(job.failed());
   EXPECT_NE(job.errorMessage().find("nope"), std::string::npos);
+}
+
+TEST(MapReduceJob, OwnerWritesAfterLaunchDoNotReachTheJob) {
+  auto input = List::make();
+  for (int i = 0; i < 1000; ++i) input->add(Value(i % 7));
+  auto reference =
+      run(input, constOne(), countValues(), {.sequential = true});
+  // The mapper holds every stage-1 slice at its first item until the
+  // owner has overwritten the whole list in place.
+  std::atomic<bool> entered{false};
+  std::atomic<bool> released{false};
+  MapFn gated = [&](const Value&) {
+    entered.store(true);
+    while (!released.load()) std::this_thread::yield();
+    return Value(1);
+  };
+  Job job(input, gated, countValues(), {.workers = 4});
+  while (!entered.load()) std::this_thread::yield();
+  for (size_t i = 1; i <= input->length(); ++i) {
+    input->replaceAt(i, Value("overwritten"));
+  }
+  released.store(true);
+  job.wait();
+  ASSERT_FALSE(job.failed()) << job.errorMessage();
+  EXPECT_TRUE(job.result()->deepEquals(*reference));
+  EXPECT_EQ(input->item(1).asText(), "overwritten");
+}
+
+TEST(MapReduceJob, RingInTheInputSettlesPurityError) {
+  auto input = words({"a", "b"});
+  input->add(Value(blocks::Ring::reporter(blocks::Block::make(
+      "reportIdentity", {blocks::Input::empty()}))));
+  Job job(input, constOne(), countValues(), {});
+  job.wait();
+  ASSERT_TRUE(job.failed());
+  EXPECT_THROW(std::rethrow_exception(job.error()), PurityError);
+  EXPECT_THROW(run(input, constOne(), countValues()), PurityError);
 }
 
 }  // namespace

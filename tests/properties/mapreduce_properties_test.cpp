@@ -86,6 +86,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 3),
                        ::testing::Values(1, 4)));
 
+// run() against the sequential reference around the single-shard
+// threshold (256 items) and at worker widths up to 16.
+INSTANTIATE_TEST_SUITE_P(
+    ShardThreshold, WordCountProperties,
+    ::testing::Combine(::testing::Values(0, 1, 255, 256, 257, 1000),
+                       ::testing::Values(5),
+                       ::testing::Values(1, 2, 4, 16)));
+
 // The block-level mapReduce agrees with the engine across seeds.
 class BlockEnginePairity : public ::testing::TestWithParam<int> {};
 

@@ -343,6 +343,33 @@ TEST(Chaos, MapReducePoolSaturationDegradesSequentially) {
   expectPoolUsable();
 }
 
+TEST(Chaos, PoolSaturationJobStatsReportTheInlineDrain) {
+  const uint64_t downgradesBefore =
+      substrateStats().downgrades.load(std::memory_order_relaxed);
+  auto input = List::make();
+  for (int i = 0; i < 300; ++i) input->add(Value(i % 7));
+  mr::MapFn one = [](const Value&) { return Value(1); };
+  mr::ReduceFn count = [](const ListPtr& values) {
+    return Value(values->length());
+  };
+  auto reference = mr::run(input, one, count, {.sequential = true});
+  {
+    // Every stage submit is refused, so both stages drain inline on the
+    // thread that launches them: that is a sequential fallback, and the
+    // job's stats must say so.
+    fault::ScopedFault armed(
+        configFor(1, fault::Point::PoolSaturation, 1, 1));
+    mr::Job job(input, one, count, {.workers = 4});
+    job.wait();
+    ASSERT_FALSE(job.failed()) << job.errorMessage();
+    EXPECT_TRUE(job.stats().degraded);
+    EXPECT_TRUE(job.result()->deepEquals(*reference));
+  }
+  EXPECT_EQ(substrateStats().downgrades.load(std::memory_order_relaxed),
+            downgradesBefore + 1);
+  expectPoolUsable();
+}
+
 /// Completion callbacks run on the settling worker *after* wait()
 /// observes the settle, so give the dispatch a moment before asserting.
 void awaitCallback(const std::atomic<int>& fired) {

@@ -74,20 +74,6 @@ TEST(CowTransfer, ResultsStayIsolatedFromTheSourceAfterwards) {
   }
 }
 
-TEST(CowTransfer, ReduceSeesTheSnapshotToo) {
-  auto source = List::make();
-  for (size_t i = 1; i <= 64; ++i) source->add(Value(i));
-  Parallel p(source, {.maxWorkers = 4});
-  p.reduce([](const Value& a, const Value& b) {
-    return Value(a.asNumber() + b.asNumber());
-  });
-  // Flat list of numbers: mutating the source after launch is invisible.
-  source->clear();
-  const std::vector<Value>& results = p.data();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].asNumber(), 64.0 * 65.0 / 2.0);
-}
-
 TEST(CowTransfer, SharedTextTransfersByRefcount) {
   const std::string payload(4096, 'w');
   auto source = List::make();

@@ -47,14 +47,6 @@ TEST(ParallelEdge, EmptyInputResolvesEveryDistribution) {
   }
 }
 
-TEST(ParallelEdge, EmptyInputReduceYieldsNothing) {
-  Parallel p(std::vector<Value>{}, {.maxWorkers = 3});
-  p.reduce([](const Value& a, const Value& b) {
-    return Value(a.asNumber() + b.asNumber());
-  });
-  EXPECT_TRUE(p.data().empty());
-}
-
 TEST(ParallelEdge, ChunkSizeZeroNormalizesToOne) {
   Parallel p(numbers(7), {.maxWorkers = 2,
                           .distribution = Distribution::BlockCyclic,
@@ -108,17 +100,6 @@ TEST(ParallelEdge, MidChunkThrowSurfacesInEveryDistribution) {
     EXPECT_NE(p.errorMessage().find("cursed"), std::string::npos);
     EXPECT_THROW(p.data(), Error);
   }
-}
-
-TEST(ParallelEdge, ReduceThrowSurfaces) {
-  Parallel p(numbers(32), {.maxWorkers = 4});
-  p.reduce([](const Value& a, const Value& b) -> Value {
-    if (b.asNumber() == 20) throw Error("bad fold");
-    return Value(a.asNumber() + b.asNumber());
-  });
-  p.wait();
-  EXPECT_TRUE(p.failed());
-  EXPECT_THROW(p.data(), Error);
 }
 
 TEST(ParallelEdge, SecondMapThrows) {

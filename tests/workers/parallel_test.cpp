@@ -94,25 +94,6 @@ TEST(Parallel, VirtualMakespanIdealBalance) {
   EXPECT_EQ(p.virtualMakespan(), 3u);
 }
 
-TEST(Parallel, ReduceSums) {
-  Parallel p(numbers(100), {.maxWorkers = 4});
-  p.reduce([](const Value& a, const Value& b) {
-    return Value(a.asNumber() + b.asNumber());
-  });
-  const auto& data = p.data();
-  ASSERT_EQ(data.size(), 1u);
-  EXPECT_EQ(data[0].asNumber(), 5050);
-}
-
-TEST(Parallel, ReduceSingleElement) {
-  Parallel p(numbers(1), {.maxWorkers = 4});
-  p.reduce([](const Value& a, const Value& b) {
-    return Value(a.asNumber() + b.asNumber());
-  });
-  ASSERT_EQ(p.data().size(), 1u);
-  EXPECT_EQ(p.data()[0].asNumber(), 1);
-}
-
 TEST(Parallel, EmptyInputMapYieldsEmpty) {
   Parallel p(std::vector<Value>{}, {.maxWorkers = 2});
   p.map([](const Value& v) { return v; });
